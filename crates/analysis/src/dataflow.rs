@@ -10,7 +10,8 @@
 //! changes. Sweeping a fixed, deterministic order — rather than
 //! popping from a hashed worklist — costs a handful of redundant
 //! transfers on these tiny graphs and buys bit-identical results on
-//! every run, which the A/B and worker-invariance suites assert.
+//! every run, which the golden-grid and worker-invariance suites
+//! assert.
 //!
 //! Instantiations:
 //!

@@ -81,7 +81,7 @@ fn main() {
     // handful of items per step, so most lookups hit); the whole-unit
     // row rebuilds every function's CFG at every step. Both compute
     // the identical df.* vector (proved bit-for-bit by the features
-    // crate's parts-vs-whole suite and the core A/B grid).
+    // crate's parts-vs-whole suite; the golden frontend grid pins it).
     let chain_steps = 256usize;
     let chain_pool = YearPool::calibrated(2018, 5);
     let chain_gpt = Transformer::new(&chain_pool);

@@ -53,21 +53,6 @@ fn main() {
         });
     }
 
-    // The naive-splitter baseline (same seeds, bit-identical forest):
-    // scripts/bench.sh compares train/50 against this to report the
-    // fast-path speedup in the same run.
-    let cfg_50 = ForestConfig {
-        n_trees: 50,
-        ..ForestConfig::default()
-    };
-    group.bench("train_reference/50", || {
-        std::hint::black_box(RandomForest::fit_reference(
-            &train,
-            &cfg_50,
-            &mut Pcg64::new(7),
-        ));
-    });
-
     let forest = RandomForest::fit(&train, &ForestConfig::default(), &mut Pcg64::new(7));
     group.bench("predict_serial", || {
         for i in 0..test.len() {

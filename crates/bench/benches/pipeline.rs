@@ -1,35 +1,21 @@
-//! The frontend generations raced end to end: node-level incremental
-//! (ISSUE 7) vs. whole-file artifact cache (ISSUE 5) vs. the original
-//! re-parse-everywhere reference.
+//! Whole `YearPipeline` builds, where the frontend dominates:
 //!
-//! All sides build the *same* `YearPipeline` — the A/B suites in
-//! `synthattr-core` prove the results bit-identical — so any timing
-//! gap is pure frontend overhead:
-//!
-//! * `cached/plain` / `reference/plain` — fault-free build, incremental
-//!   vs. pre-artifact-cache re-parse frontend;
-//! * `cached/chaos20` / `reference/chaos20` — the same build under
-//!   the recoverable 20% fault profile (the fault layer's validator
-//!   is one of the re-parse sites the cache eliminates: the reference
-//!   service recomputes the parse + lint + fingerprint expectation of
-//!   the input on every call and re-parses every candidate response;
-//!   the cached service computes the expectation once per stream);
-//! * `cached/chain` / `wholefile/chain` — a chain-heavy build (ISSUE 7
-//!   acceptance: ≥ 2× median speedup): long CT chains change a handful
-//!   of AST sub-trees per step, so the incremental frontend re-renders,
-//!   re-parses, and re-featurizes only the changed regions while the
-//!   whole-file frontend pays full price for every new text.
+//! * `cached/plain` — a fault-free build;
+//! * `cached/chaos20` — the same build under the recoverable 20% fault
+//!   profile, so the resilient drivers and their validation gate run;
+//! * `cached/chain` — a chain-heavy build: long CT chains change a
+//!   handful of AST sub-trees per step, so the node cache re-renders,
+//!   re-parses and re-featurizes only the changed regions.
 //!
 //! The binary installs [`CountingAllocator`] as its global allocator
-//! and the group reports `allocs_per_iter` / `alloc_bytes_per_iter`,
-//! making the avoided AST churn visible next to the wall-clock.
+//! and the group reports `allocs_per_iter` / `alloc_bytes_per_iter`
+//! next to the wall-clock.
 //!
-//! Feeds `BENCH_pipeline.json` via `scripts/bench.sh`; the script
-//! prints the cached-vs-reference speedup from the medians.
+//! Feeds `BENCH_pipeline.json` via `scripts/bench.sh`.
 //!
 //! The config leans frontend-heavy on purpose (many transforms, small
-//! forest): the oracle training and corpus generation are identical
-//! work on both sides, and the point is to measure the frontend.
+//! forest): oracle training and corpus generation are fixed costs, and
+//! the point is to measure the frontend.
 
 use synthattr_bench::alloc_counter::CountingAllocator;
 use synthattr_bench::harness::Group;
@@ -69,21 +55,11 @@ fn main() {
 
     let plain = frontend_config();
     let chaos20 = frontend_config().with_faults(FaultProfile::recoverable(7, 0.20));
+    let chain = chain_config().with_faults(FaultProfile::recoverable(7, 0.20));
 
-    for (label, cfg) in [("plain", &plain), ("chaos20", &chaos20)] {
+    for (label, cfg) in [("plain", &plain), ("chaos20", &chaos20), ("chain", &chain)] {
         group.bench(&format!("cached/{label}"), || {
             std::hint::black_box(YearPipeline::try_build(2018, cfg).unwrap());
         });
-        group.bench(&format!("reference/{label}"), || {
-            std::hint::black_box(YearPipeline::try_build_reference(2018, cfg).unwrap());
-        });
     }
-
-    let chain = chain_config().with_faults(FaultProfile::recoverable(7, 0.20));
-    group.bench("cached/chain", || {
-        std::hint::black_box(YearPipeline::try_build(2018, &chain).unwrap());
-    });
-    group.bench("wholefile/chain", || {
-        std::hint::black_box(YearPipeline::try_build_wholefile(2018, &chain).unwrap());
-    });
 }

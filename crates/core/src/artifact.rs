@@ -12,7 +12,8 @@
 //! (with full-text collision verification), so two samples with
 //! identical text share one artifact and all of its products.
 //!
-//! Invariants (verified by the A/B suite in [`crate::pipeline`]):
+//! Invariants (pinned by the root package's golden frontend grid and
+//! its `frontend_cache` suite):
 //!
 //! * **Purity** — every cached product equals what recomputing it from
 //!   the text would produce; the cache can only change *when* work
@@ -235,8 +236,8 @@ impl Artifact {
 /// `cache_misses` counts distinct sources materialised (each paid for
 /// its frontend work exactly once); `cache_hits` counts the re-parses
 /// the cache avoided. `node_hits`/`node_misses` count AST sub-tree
-/// lookups in the incremental frontend (always 0 on the whole-file
-/// reference path). Equality deliberately ignores `frontend_ns` —
+/// lookups in the incremental frontend. Equality deliberately ignores
+/// `frontend_ns` —
 /// wall-clock varies run to run, the counters must not.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FrontendStats {

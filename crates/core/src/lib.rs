@@ -39,10 +39,6 @@ pub mod artifact;
 pub mod config;
 pub mod error;
 pub mod experiments;
-#[cfg(test)]
-mod frontend_ab;
-#[cfg(test)]
-mod increment_ab;
 pub mod model;
 pub mod pipeline;
 

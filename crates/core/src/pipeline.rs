@@ -494,439 +494,6 @@ impl YearPipeline {
         })
     }
 
-    /// Builds the pipeline through the whole-file artifact frontend,
-    /// exactly as [`YearPipeline::try_build`] worked before the
-    /// node-level incremental refactor: every distinct source text is
-    /// parsed/linted/featurized at most once (the artifact cache), but
-    /// each *new* text pays for its full frontend even when only one
-    /// sub-tree changed since the previous chain step. Kept
-    /// (test/feature-gated) as the reference implementation the
-    /// incremental A/B suite (`increment_ab`) and the
-    /// `pipeline` bench compare against. Its `frontend` records no
-    /// node-cache traffic (`node_hits == node_misses == 0`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`YearPipeline::try_build`].
-    #[cfg(any(test, feature = "reference-increment"))]
-    pub fn try_build_wholefile(
-        year: u32,
-        config: &ExperimentConfig,
-    ) -> Result<Self, PipelineError> {
-        use synthattr_faults::drivers::{run_ct_resilient_parsed, run_nct_resilient_parsed};
-        use synthattr_gpt::chain::{try_run_ct_steps, try_run_nct_steps};
-
-        let workers = pool::resolve_workers(config.workers);
-        let spec = try_year_spec(year, config)?;
-        let (corpus, human_features, mut diagnostics, mut frontend, oracle) =
-            oracle_stage(&spec, config, workers)?;
-        let analyzer = Analyzer::new();
-
-        let pool = YearPool::calibrated(year, config.seed);
-        let transformer = Transformer::new(&pool);
-        let seed_author = (year as usize * 7) % spec.authors;
-        let n_streams = spec.challenges.len() * Setting::all().len();
-        #[allow(clippy::type_complexity)]
-        let per_challenge: Vec<(
-            Vec<TransformedEntry>,
-            ResilienceStats,
-            DiagnosticStats,
-            FrontendStats,
-        )> = pool::parallel_try_map_workers(workers, (0..spec.challenges.len()).collect(), |ci| {
-            let challenge = spec.challenges[ci];
-            let service = config
-                .faults
-                .as_ref()
-                .map(|p| FaultyTransformer::new(&pool, p.plan(), p.policy.clone()));
-            let mut stream_stats = ResilienceStats::default();
-            let mut transformed = Vec::new();
-            let mut cache = ArtifactCache::bounded(PER_CHALLENGE_CACHE_CAP);
-            let mut diags = DiagnosticStats::default();
-            let mut frontend_ns: u128 = 0;
-            let mut gen_rng = Pcg64::seed_from(
-                config.seed,
-                &["gpt-gen", &year.to_string(), &ci.to_string()],
-            );
-            let gen_style_idx = pool.sample_index(&mut gen_rng);
-            let gpt_seed = synthattr_gen::corpus::solution_in_style(
-                challenge,
-                pool.style(gen_style_idx),
-                config.seed,
-                &["gpt-gen-code", &year.to_string(), &ci.to_string()],
-            );
-            let human_seed = corpus
-                .samples
-                .iter()
-                .find(|s| s.author == seed_author && s.challenge == ci)
-                .expect("corpus covers author x challenge")
-                .source
-                .clone();
-
-            for setting in Setting::all() {
-                let (seed_code, origin) = if setting.human_seed() {
-                    (&human_seed, Origin::Human)
-                } else {
-                    (&gpt_seed, Origin::ChatGpt)
-                };
-                let mut rng = Pcg64::seed_from(
-                    config.seed,
-                    &[
-                        "transform",
-                        &year.to_string(),
-                        &ci.to_string(),
-                        setting.notation(),
-                    ],
-                );
-                let fail = |source| PipelineError::Transform {
-                    year,
-                    challenge: ci,
-                    setting: setting.notation(),
-                    source,
-                };
-                let t0 = Instant::now();
-                let seed_artifact = cache.intern(seed_code);
-                let seed_unit = seed_artifact.unit().map_err(|e| fail(GptError::Parse(e)))?;
-                frontend_ns += t0.elapsed().as_nanos();
-                let (samples, units, outcomes) = match (&service, &config.faults) {
-                    (Some(svc), Some(profile)) => {
-                        let anchor = format!("ch{ci}/{}", setting.notation());
-                        let mut cx = profile.stream_cx(n_streams);
-                        let run = if setting.chaining() {
-                            run_ct_resilient_parsed(
-                                svc,
-                                seed_code,
-                                seed_unit,
-                                config.scale.transforms,
-                                origin,
-                                &mut rng,
-                                &anchor,
-                                &mut cx,
-                            )
-                        } else {
-                            run_nct_resilient_parsed(
-                                svc,
-                                seed_code,
-                                seed_unit,
-                                config.scale.transforms,
-                                origin,
-                                &mut rng,
-                                &anchor,
-                                &mut cx,
-                            )
-                        }
-                        .map_err(fail)?;
-                        stream_stats.merge(&run.stats);
-                        (run.samples, run.units, run.outcomes)
-                    }
-                    _ => {
-                        let steps = if setting.chaining() {
-                            try_run_ct_steps(
-                                &transformer,
-                                seed_code,
-                                seed_unit,
-                                config.scale.transforms,
-                                origin,
-                                &mut rng,
-                            )
-                        } else {
-                            try_run_nct_steps(
-                                &transformer,
-                                seed_code,
-                                seed_unit,
-                                config.scale.transforms,
-                                origin,
-                                &mut rng,
-                            )
-                        }
-                        .map_err(fail)?;
-                        let outcomes = vec![Outcome::Clean; steps.len()];
-                        for o in &outcomes {
-                            stream_stats.record(*o);
-                        }
-                        let mut samples = Vec::with_capacity(steps.len());
-                        let mut units = Vec::with_capacity(steps.len());
-                        for step in steps {
-                            samples.push(step.sample);
-                            units.push(step.unit);
-                        }
-                        (samples, units, outcomes)
-                    }
-                };
-                for ((sample, unit), outcome) in samples.into_iter().zip(units).zip(outcomes) {
-                    let t0 = Instant::now();
-                    let artifact = cache.intern_with_unit(&sample.source, unit);
-                    let features = artifact
-                        .features(oracle.extractor())
-                        .map_err(|e| PipelineError::Analysis {
-                            stage: "featurize",
-                            source: e,
-                        })?
-                        .clone();
-                    let oracle_label =
-                        artifact
-                            .oracle_label(&oracle)
-                            .map_err(|e| PipelineError::Analysis {
-                                stage: "featurize",
-                                source: e,
-                            })?;
-                    diags.absorb(artifact.diagnostics(&analyzer).map_err(|e| {
-                        PipelineError::Analysis {
-                            stage: "lint",
-                            source: e,
-                        }
-                    })?);
-                    frontend_ns += t0.elapsed().as_nanos();
-                    transformed.push(TransformedEntry {
-                        sample,
-                        challenge: ci,
-                        setting,
-                        features,
-                        oracle_label,
-                        outcome,
-                    });
-                }
-            }
-            let mut frontend = cache.stats();
-            frontend.frontend_ns = frontend_ns;
-            Ok((transformed, stream_stats, diags, frontend))
-        })?;
-        let mut resilience = ResilienceStats::default();
-        let mut transformed: Vec<TransformedEntry> = Vec::new();
-        for (entries, stats, d, fe) in per_challenge {
-            transformed.extend(entries);
-            resilience.merge(&stats);
-            diagnostics.merge(&d);
-            frontend.merge(&fe);
-        }
-
-        Ok(YearPipeline {
-            year,
-            config: config.clone(),
-            corpus,
-            human_features,
-            oracle,
-            transformed,
-            seed_author,
-            diagnostics,
-            resilience,
-            frontend,
-        })
-    }
-
-    /// Builds the pipeline through the pre-cache frontend: every stage
-    /// re-parses from text, exactly as the pipeline did before the
-    /// single-parse artifact refactor. Kept (test/feature-gated) as the
-    /// reference implementation the A/B suite and the `pipeline` bench
-    /// compare against; `frontend` is all-zero since nothing is cached.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`YearPipeline::try_build`].
-    #[cfg(any(test, feature = "reference-frontend"))]
-    pub fn try_build_reference(
-        year: u32,
-        config: &ExperimentConfig,
-    ) -> Result<Self, PipelineError> {
-        use synthattr_faults::drivers::{run_ct_resilient_reference, run_nct_resilient_reference};
-        use synthattr_gpt::chain::{try_run_ct, try_run_nct};
-
-        let workers = pool::resolve_workers(config.workers);
-        let spec = try_year_spec(year, config)?;
-        let corpus = generate_year(&spec, config.seed);
-
-        let extractor = FeatureExtractor::new(config.features.clone());
-        let human_features: Vec<Vec<f64>> =
-            pool::parallel_try_map_workers(workers, (0..corpus.samples.len()).collect(), |i| {
-                extractor
-                    .extract(&corpus.samples[i].source)
-                    .map_err(|e| PipelineError::Analysis {
-                        stage: "featurize",
-                        source: e,
-                    })
-            })?;
-
-        // Oracle: one class per human author.
-        let mut human_ds = Dataset::new(spec.authors);
-        for (sample, features) in corpus.samples.iter().zip(&human_features) {
-            human_ds.push(features.clone(), sample.author);
-        }
-        let mut rng = Pcg64::seed_from(config.seed, &["oracle", &year.to_string()]);
-        let oracle =
-            AuthorshipModel::from_features(extractor, &human_ds, &config.forest(), &mut rng);
-
-        // Seeds and transformations.
-        let pool = YearPool::calibrated(year, config.seed);
-        let transformer = Transformer::new(&pool);
-        let seed_author = (year as usize * 7) % spec.authors;
-        let n_streams = spec.challenges.len() * Setting::all().len();
-        let per_challenge: Vec<(Vec<TransformedEntry>, ResilienceStats)> =
-            pool::parallel_try_map_workers(workers, (0..spec.challenges.len()).collect(), |ci| {
-                let challenge = spec.challenges[ci];
-                let service = config
-                    .faults
-                    .as_ref()
-                    .map(|p| FaultyTransformer::new(&pool, p.plan(), p.policy.clone()));
-                let mut stream_stats = ResilienceStats::default();
-                let mut transformed = Vec::new();
-                let mut gen_rng = Pcg64::seed_from(
-                    config.seed,
-                    &["gpt-gen", &year.to_string(), &ci.to_string()],
-                );
-                let gen_style_idx = pool.sample_index(&mut gen_rng);
-                let gpt_seed = synthattr_gen::corpus::solution_in_style(
-                    challenge,
-                    pool.style(gen_style_idx),
-                    config.seed,
-                    &["gpt-gen-code", &year.to_string(), &ci.to_string()],
-                );
-                let human_seed = corpus
-                    .samples
-                    .iter()
-                    .find(|s| s.author == seed_author && s.challenge == ci)
-                    .expect("corpus covers author x challenge")
-                    .source
-                    .clone();
-
-                for setting in Setting::all() {
-                    let (seed_code, origin) = if setting.human_seed() {
-                        (&human_seed, Origin::Human)
-                    } else {
-                        (&gpt_seed, Origin::ChatGpt)
-                    };
-                    let mut rng = Pcg64::seed_from(
-                        config.seed,
-                        &[
-                            "transform",
-                            &year.to_string(),
-                            &ci.to_string(),
-                            setting.notation(),
-                        ],
-                    );
-                    let fail = |source| PipelineError::Transform {
-                        year,
-                        challenge: ci,
-                        setting: setting.notation(),
-                        source,
-                    };
-                    let (samples, outcomes) = match (&service, &config.faults) {
-                        (Some(svc), Some(profile)) => {
-                            let anchor = format!("ch{ci}/{}", setting.notation());
-                            let mut cx = profile.stream_cx(n_streams);
-                            let run = if setting.chaining() {
-                                run_ct_resilient_reference(
-                                    svc,
-                                    seed_code,
-                                    config.scale.transforms,
-                                    origin,
-                                    &mut rng,
-                                    &anchor,
-                                    &mut cx,
-                                )
-                            } else {
-                                run_nct_resilient_reference(
-                                    svc,
-                                    seed_code,
-                                    config.scale.transforms,
-                                    origin,
-                                    &mut rng,
-                                    &anchor,
-                                    &mut cx,
-                                )
-                            }
-                            .map_err(fail)?;
-                            stream_stats.merge(&run.stats);
-                            (run.samples, run.outcomes)
-                        }
-                        _ => {
-                            let samples = if setting.chaining() {
-                                try_run_ct(
-                                    &transformer,
-                                    seed_code,
-                                    config.scale.transforms,
-                                    origin,
-                                    &mut rng,
-                                )
-                            } else {
-                                try_run_nct(
-                                    &transformer,
-                                    seed_code,
-                                    config.scale.transforms,
-                                    origin,
-                                    &mut rng,
-                                )
-                            }
-                            .map_err(fail)?;
-                            let outcomes = vec![Outcome::Clean; samples.len()];
-                            for o in &outcomes {
-                                stream_stats.record(*o);
-                            }
-                            (samples, outcomes)
-                        }
-                    };
-                    for (sample, outcome) in samples.into_iter().zip(outcomes) {
-                        let features = oracle.extractor().extract(&sample.source).map_err(|e| {
-                            PipelineError::Analysis {
-                                stage: "featurize",
-                                source: e,
-                            }
-                        })?;
-                        let oracle_label = oracle.predict_features(&features);
-                        transformed.push(TransformedEntry {
-                            sample,
-                            challenge: ci,
-                            setting,
-                            features: Arc::new(features),
-                            oracle_label,
-                            outcome,
-                        });
-                    }
-                }
-                Ok((transformed, stream_stats))
-            })?;
-        let mut resilience = ResilienceStats::default();
-        let mut transformed: Vec<TransformedEntry> = Vec::new();
-        for (entries, stats) in per_challenge {
-            transformed.extend(entries);
-            resilience.merge(&stats);
-        }
-
-        // Run stats: lint every program the run produced, each from a
-        // fresh parse of its text.
-        let analyzer = Analyzer::new();
-        let sources: Vec<&str> = corpus
-            .samples
-            .iter()
-            .map(|s| s.source.as_str())
-            .chain(transformed.iter().map(|t| t.sample.source.as_str()))
-            .collect();
-        let per_unit: Vec<Vec<synthattr_analysis::Diagnostic>> =
-            pool::parallel_try_map_workers(workers, (0..sources.len()).collect(), |i| {
-                analyzer
-                    .analyze_source(sources[i])
-                    .map_err(|e| PipelineError::Analysis {
-                        stage: "lint",
-                        source: e,
-                    })
-            })?;
-        let mut diagnostics = DiagnosticStats::default();
-        for diags in &per_unit {
-            diagnostics.absorb(diags);
-        }
-
-        Ok(YearPipeline {
-            year,
-            config: config.clone(),
-            corpus,
-            human_features,
-            oracle,
-            transformed,
-            seed_author,
-            diagnostics,
-            resilience,
-            frontend: FrontendStats::default(),
-        })
-    }
-
     /// Number of human authors.
     pub fn n_authors(&self) -> usize {
         self.corpus.spec.authors

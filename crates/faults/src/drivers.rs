@@ -56,15 +56,20 @@ impl StreamCx {
 }
 
 /// A completed resilient run: `n` samples, one outcome per sample,
-/// and the stream's aggregated stats.
+/// each step's parsed unit and region structure, and the stream's
+/// aggregated stats.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResilientRun {
+pub struct CachedRun {
     /// The transformed samples, in step order. Always `n` long.
     pub samples: Vec<TransformedSample>,
     /// `units[i]` is the AST of `samples[i].source`, carried out of
     /// the validation gate (or cloned from the seed for failed steps)
     /// so downstream stages never re-parse accepted responses.
     pub units: Vec<TranslationUnit>,
+    /// `regions[i]` is the node structure of `samples[i].source`, when
+    /// the step came out of the cached frontend (`None` when it fell
+    /// back to raw seed text the frontend never rendered).
+    pub regions: Vec<Option<RegionInfo>>,
     /// `outcomes[i]` describes how `samples[i]` survived the chaos.
     pub outcomes: Vec<Outcome>,
     /// Aggregated accounting for the stream.
@@ -78,7 +83,9 @@ fn absorb(stats: &mut ResilienceStats, trace: &CallTrace) {
     }
 }
 
-/// Runs non-chaining transformation under fault injection.
+/// Runs non-chaining transformation under fault injection: parses the
+/// seed and runs [`run_nct_resilient_cached`] with a fresh
+/// [`FrontendCache`].
 ///
 /// # Errors
 ///
@@ -93,169 +100,24 @@ pub fn run_nct_resilient(
     rng: &mut Pcg64,
     anchor: &str,
     cx: &mut StreamCx,
-) -> Result<ResilientRun, GptError> {
+) -> Result<CachedRun, GptError> {
     let seed_unit = parse(seed_code).map_err(GptError::Parse)?;
-    run_nct_resilient_parsed(svc, seed_code, &seed_unit, n, seed_origin, rng, anchor, cx)
+    let mut fc = FrontendCache::new();
+    run_nct_resilient_cached(
+        svc,
+        seed_code,
+        &seed_unit,
+        n,
+        seed_origin,
+        rng,
+        anchor,
+        cx,
+        &mut fc,
+    )
 }
 
-/// Single-parse variant of [`run_nct_resilient`]: the caller supplies
-/// the seed's already-parsed AST, the validation expectation is
-/// computed once for the whole stream (every step transforms the same
-/// seed), and accepted responses come back with their ASTs attached.
-/// Samples, outcomes, and stats are byte-identical to
-/// [`run_nct_resilient`].
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`], and only from a transformer bug surfaced
-/// by the debug semantics gate — service faults degrade, not error.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nct_resilient_parsed(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    seed_unit: &TranslationUnit,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ResilientRun, GptError> {
-    let pool = svc.pool();
-    let year = pool.year;
-    let seed_exp = svc.prepare(seed_unit);
-    let mut samples = Vec::with_capacity(n);
-    let mut units = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ResilienceStats::default();
-    let trips_before = cx.breaker.trips();
-    for step in 1..=n {
-        let pool_index = pool.sample_index(rng);
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform_prepared(
-            seed_code,
-            seed_unit,
-            &seed_exp,
-            pool_index,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-        ) {
-            Ok(accepted) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    accepted.source,
-                    step,
-                    TransformMode::NonChaining,
-                    seed_origin,
-                    pool_index,
-                ));
-                units.push(accepted.unit);
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                }
-                // NCT degradation: the step is independent of its
-                // siblings, so re-draw it on a fresh derived stream.
-                // Each resample has its own anchor, hence its own
-                // fault coordinates — a deterministic "new request".
-                let mut rescued = None;
-                for k in 1..=cx.resamples {
-                    let re_anchor = format!("{anchor}/resample{k}");
-                    let re_scope = CallScope {
-                        year,
-                        anchor: &re_anchor,
-                        step,
-                    };
-                    let mut re_rng = Pcg64::seed_from(
-                        svc.plan().seed,
-                        &[
-                            "nct-resample",
-                            &year.to_string(),
-                            anchor,
-                            &step.to_string(),
-                            &k.to_string(),
-                        ],
-                    );
-                    let mut re_trace = CallTrace::default();
-                    match svc.transform_prepared(
-                        seed_code,
-                        seed_unit,
-                        &seed_exp,
-                        pool_index,
-                        &mut re_rng,
-                        &re_scope,
-                        &mut cx.budget,
-                        &mut cx.breaker,
-                        &mut re_trace,
-                    ) {
-                        Ok(accepted) => {
-                            absorb(&mut stats, &re_trace);
-                            rescued = Some((accepted, k));
-                            break;
-                        }
-                        Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-                        Err(re_err) => {
-                            absorb(&mut stats, &re_trace);
-                            if matches!(re_err, GptError::CircuitOpen { .. }) {
-                                stats.record_fault("circuit-open");
-                            }
-                        }
-                    }
-                }
-                match rescued {
-                    Some((accepted, k)) => {
-                        samples.push(sample(
-                            accepted.source,
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        units.push(accepted.unit);
-                        Outcome::Degraded {
-                            fallback: Fallback::Resampled { resamples: k },
-                        }
-                    }
-                    None => {
-                        samples.push(sample(
-                            seed_code.to_string(),
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        units.push(seed_unit.clone());
-                        Outcome::Failed
-                    }
-                }
-            }
-        };
-        stats.record(outcome);
-        outcomes.push(outcome);
-    }
-    stats.breaker_trips = cx.breaker.trips() - trips_before;
-    Ok(ResilientRun {
-        samples,
-        units,
-        outcomes,
-        stats,
-    })
-}
-
-/// Runs chaining transformation under fault injection.
+/// Runs chaining transformation under fault injection: parses the seed
+/// and runs [`run_ct_resilient_cached`] with a fresh [`FrontendCache`].
 ///
 /// # Errors
 ///
@@ -269,143 +131,28 @@ pub fn run_ct_resilient(
     rng: &mut Pcg64,
     anchor: &str,
     cx: &mut StreamCx,
-) -> Result<ResilientRun, GptError> {
+) -> Result<CachedRun, GptError> {
     let seed_unit = parse(seed_code).map_err(GptError::Parse)?;
-    run_ct_resilient_parsed(svc, seed_code, &seed_unit, n, seed_origin, rng, anchor, cx)
+    let mut fc = FrontendCache::new();
+    run_ct_resilient_cached(
+        svc,
+        seed_code,
+        &seed_unit,
+        n,
+        seed_origin,
+        rng,
+        anchor,
+        cx,
+        &mut fc,
+    )
 }
 
-/// Single-parse variant of [`run_ct_resilient`]: the chain threads
-/// each accepted response's AST and expectation (byproducts of the
-/// validation gate) into the next step, so a whole `n`-step chain
-/// parses each rendered output exactly once and the seed zero times
-/// beyond the caller's own parse. Samples, outcomes, and stats are
-/// byte-identical to [`run_ct_resilient`].
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`], and only from a transformer bug surfaced
-/// by the debug semantics gate.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ct_resilient_parsed(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    seed_unit: &TranslationUnit,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ResilientRun, GptError> {
-    let pool = svc.pool();
-    let year = pool.year;
-    let mut samples: Vec<TransformedSample> = Vec::with_capacity(n);
-    let mut units: Vec<TranslationUnit> = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ResilienceStats::default();
-    let trips_before = cx.breaker.trips();
-    // The chain head: source text, AST, and validation expectation of
-    // whatever the next call transforms. Held steps keep it in place.
-    let mut current_source = seed_code.to_string();
-    let mut current_unit = seed_unit.clone();
-    let mut current_exp = svc.prepare(seed_unit);
-    let mut style_idx = pool.sample_index(rng);
-    for step in 1..=n {
-        if step > 1 && !rng.next_bool(pool.ct_stickiness) {
-            style_idx = pool.sample_index(rng);
-        }
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform_prepared(
-            &current_source,
-            &current_unit,
-            &current_exp,
-            style_idx,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-        ) {
-            Ok(accepted) => {
-                absorb(&mut stats, &trace);
-                current_source = accepted.source.clone();
-                current_unit = accepted.unit;
-                current_exp = accepted.expectation;
-                samples.push(sample(
-                    accepted.source,
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                units.push(current_unit.clone());
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                // CT degradation: a chain cannot resample a mid-chain
-                // step without rewriting history, so the chain *holds*
-                // — the sample repeats the last good source and the
-                // next step transforms from it.
-                samples.push(sample(
-                    current_source.clone(),
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                units.push(current_unit.clone());
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                    Outcome::Failed
-                } else {
-                    Outcome::Degraded {
-                        fallback: Fallback::HeldStep,
-                    }
-                }
-            }
-        };
-        stats.record(outcome);
-        outcomes.push(outcome);
-    }
-    stats.breaker_trips = cx.breaker.trips() - trips_before;
-    Ok(ResilientRun {
-        samples,
-        units,
-        outcomes,
-        stats,
-    })
-}
-
-/// A completed node-cached resilient run: [`ResilientRun`] plus each
-/// step's region structure (`None` when the step fell back to raw seed
-/// text the cached frontend never rendered).
-#[derive(Debug, Clone)]
-pub struct CachedRun {
-    /// The transformed samples, in step order. Always `n` long.
-    pub samples: Vec<TransformedSample>,
-    /// `units[i]` is the AST of `samples[i].source`.
-    pub units: Vec<TranslationUnit>,
-    /// `regions[i]` is the node structure of `samples[i].source`, when
-    /// the step came out of the cached frontend.
-    pub regions: Vec<Option<RegionInfo>>,
-    /// `outcomes[i]` describes how `samples[i]` survived the chaos.
-    pub outcomes: Vec<Outcome>,
-    /// Aggregated accounting for the stream.
-    pub stats: ResilienceStats,
-}
-
-/// Node-cached variant of [`run_nct_resilient_parsed`]: every attempt
-/// runs through `fc`, and each produced step's region structure is
-/// returned for incremental downstream featurization. Samples,
-/// outcomes, and stats are byte-identical to the uncached driver.
+/// Runs non-chaining transformation under fault injection, given the
+/// seed's parsed AST. The validation expectation is computed once for
+/// the whole stream (every step transforms the same seed), every
+/// attempt runs through the node cache `fc`, and each produced step
+/// comes back with its AST and region structure for incremental
+/// downstream featurization.
 ///
 /// # Errors
 ///
@@ -436,7 +183,7 @@ pub fn run_nct_resilient_cached(
         let pool_index = pool.sample_index(rng);
         let scope = CallScope { year, anchor, step };
         let mut trace = CallTrace::default();
-        let outcome = match svc.transform_prepared_cached(
+        let first = svc.transform_prepared_cached(
             seed_code,
             seed_unit,
             None,
@@ -448,33 +195,20 @@ pub fn run_nct_resilient_cached(
             &mut cx.breaker,
             &mut trace,
             fc,
-        ) {
-            Ok(accepted) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    accepted.source,
-                    step,
-                    TransformMode::NonChaining,
-                    seed_origin,
-                    pool_index,
-                ));
-                units.push(accepted.unit);
-                regions.push(Some(accepted.regions));
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
+        );
+        absorb(&mut stats, &trace);
+        let (accepted, outcome) = match first {
+            Ok(accepted) => (Some(accepted), answered(&trace)),
             Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
             Err(err) => {
-                absorb(&mut stats, &trace);
                 if matches!(err, GptError::CircuitOpen { .. }) {
                     stats.record_fault("circuit-open");
                 }
-                let mut rescued = None;
+                // NCT degradation: the step is independent of its
+                // siblings, so re-draw it on a fresh derived stream.
+                // Each resample has its own anchor, hence its own
+                // fault coordinates — a deterministic "new request".
+                let mut rescued = (None, Outcome::Failed);
                 for k in 1..=cx.resamples {
                     let re_anchor = format!("{anchor}/resample{k}");
                     let re_scope = CallScope {
@@ -493,7 +227,7 @@ pub fn run_nct_resilient_cached(
                         ],
                     );
                     let mut re_trace = CallTrace::default();
-                    match svc.transform_prepared_cached(
+                    let resample = svc.transform_prepared_cached(
                         seed_code,
                         seed_unit,
                         None,
@@ -505,51 +239,36 @@ pub fn run_nct_resilient_cached(
                         &mut cx.breaker,
                         &mut re_trace,
                         fc,
-                    ) {
+                    );
+                    absorb(&mut stats, &re_trace);
+                    match resample {
                         Ok(accepted) => {
-                            absorb(&mut stats, &re_trace);
-                            rescued = Some((accepted, k));
+                            let fallback = Fallback::Resampled { resamples: k };
+                            rescued = (Some(accepted), Outcome::Degraded { fallback });
                             break;
                         }
                         Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-                        Err(re_err) => {
-                            absorb(&mut stats, &re_trace);
-                            if matches!(re_err, GptError::CircuitOpen { .. }) {
-                                stats.record_fault("circuit-open");
-                            }
-                        }
+                        Err(GptError::CircuitOpen { .. }) => stats.record_fault("circuit-open"),
+                        Err(_) => {}
                     }
                 }
-                match rescued {
-                    Some((accepted, k)) => {
-                        samples.push(sample(
-                            accepted.source,
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        units.push(accepted.unit);
-                        regions.push(Some(accepted.regions));
-                        Outcome::Degraded {
-                            fallback: Fallback::Resampled { resamples: k },
-                        }
-                    }
-                    None => {
-                        samples.push(sample(
-                            seed_code.to_string(),
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        units.push(seed_unit.clone());
-                        regions.push(None);
-                        Outcome::Failed
-                    }
-                }
+                rescued
             }
         };
+        // A step nothing rescued falls back to the seed code itself.
+        let (source, unit, region) = match accepted {
+            Some(a) => (a.source, a.unit, Some(a.regions)),
+            None => (seed_code.to_string(), seed_unit.clone(), None),
+        };
+        samples.push(TransformedSample {
+            source,
+            step,
+            mode: TransformMode::NonChaining,
+            seed_origin,
+            pool_index,
+        });
+        units.push(unit);
+        regions.push(region);
         stats.record(outcome);
         outcomes.push(outcome);
     }
@@ -563,11 +282,10 @@ pub fn run_nct_resilient_cached(
     })
 }
 
-/// Node-cached variant of [`run_ct_resilient_parsed`]: the chain
-/// threads each accepted step's region structure into the next call,
-/// so unchanged items are never re-rendered, re-parsed or re-scanned.
-/// Samples, outcomes, and stats are byte-identical to the uncached
-/// driver.
+/// Runs chaining transformation under fault injection, given the
+/// seed's parsed AST. The chain threads each accepted step's AST,
+/// expectation and region structure into the next call, so unchanged
+/// items are never re-rendered, re-parsed or re-scanned.
 ///
 /// # Errors
 ///
@@ -593,6 +311,9 @@ pub fn run_ct_resilient_cached(
     let mut outcomes = Vec::with_capacity(n);
     let mut stats = ResilienceStats::default();
     let trips_before = cx.breaker.trips();
+    // The chain head: source text, AST, regions and validation
+    // expectation of whatever the next call transforms. Held steps keep
+    // it in place.
     let mut current_source = seed_code.to_string();
     let mut current_unit = seed_unit.clone();
     let mut current_regions: Option<RegionInfo> = None;
@@ -604,7 +325,7 @@ pub fn run_ct_resilient_cached(
         }
         let scope = CallScope { year, anchor, step };
         let mut trace = CallTrace::default();
-        let outcome = match svc.transform_prepared_cached(
+        let result = svc.transform_prepared_cached(
             &current_source,
             &current_unit,
             current_regions.as_ref(),
@@ -616,52 +337,38 @@ pub fn run_ct_resilient_cached(
             &mut cx.breaker,
             &mut trace,
             fc,
-        ) {
+        );
+        absorb(&mut stats, &trace);
+        let outcome = match result {
             Ok(accepted) => {
-                absorb(&mut stats, &trace);
-                current_source = accepted.source.clone();
+                current_source = accepted.source;
                 current_unit = accepted.unit;
                 current_regions = Some(accepted.regions);
                 current_exp = accepted.expectation;
-                samples.push(sample(
-                    accepted.source,
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                units.push(current_unit.clone());
-                regions.push(current_regions.clone());
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
+                answered(&trace)
             }
             Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    current_source.clone(),
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                units.push(current_unit.clone());
-                regions.push(current_regions.clone());
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                    Outcome::Failed
-                } else {
-                    Outcome::Degraded {
-                        fallback: Fallback::HeldStep,
-                    }
-                }
+            // CT degradation: a chain cannot resample a mid-chain step
+            // without rewriting history, so the chain *holds* — the
+            // sample repeats the last good source and the next step
+            // transforms from it.
+            Err(GptError::CircuitOpen { .. }) => {
+                stats.record_fault("circuit-open");
+                Outcome::Failed
             }
+            Err(_) => Outcome::Degraded {
+                fallback: Fallback::HeldStep,
+            },
         };
+        samples.push(TransformedSample {
+            source: current_source.clone(),
+            step,
+            mode: TransformMode::Chaining,
+            seed_origin,
+            pool_index: style_idx,
+        });
+        units.push(current_unit.clone());
+        regions.push(current_regions.clone());
         stats.record(outcome);
         outcomes.push(outcome);
     }
@@ -675,262 +382,16 @@ pub fn run_ct_resilient_cached(
     })
 }
 
-fn sample(
-    source: String,
-    step: usize,
-    mode: TransformMode,
-    seed_origin: Origin,
-    pool_index: usize,
-) -> TransformedSample {
-    TransformedSample {
-        source,
-        step,
-        mode,
-        seed_origin,
-        pool_index,
-    }
-}
-
-/// The pre-cache NCT driver, kept as the reference baseline for the
-/// single-parse frontend's A/B suite and the `pipeline` bench: every
-/// step goes through [`FaultyTransformer::transform`], which re-parses
-/// and re-validates its input *per call* and discards the response AST
-/// it just checked. Samples, outcomes, and stats are byte-identical to
-/// [`run_nct_resilient_parsed`] — only the repeated frontend work
-/// differs.
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`] — `seed_code` outside the subset.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nct_resilient_reference(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ReferenceRun, GptError> {
-    let pool = svc.pool();
-    let year = pool.year;
-    let mut samples = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ResilienceStats::default();
-    let trips_before = cx.breaker.trips();
-    for step in 1..=n {
-        let pool_index = pool.sample_index(rng);
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform(
-            seed_code,
-            pool_index,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-        ) {
-            Ok(source) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    source,
-                    step,
-                    TransformMode::NonChaining,
-                    seed_origin,
-                    pool_index,
-                ));
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                }
-                let mut rescued = None;
-                for k in 1..=cx.resamples {
-                    let re_anchor = format!("{anchor}/resample{k}");
-                    let re_scope = CallScope {
-                        year,
-                        anchor: &re_anchor,
-                        step,
-                    };
-                    let mut re_rng = Pcg64::seed_from(
-                        svc.plan().seed,
-                        &[
-                            "nct-resample",
-                            &year.to_string(),
-                            anchor,
-                            &step.to_string(),
-                            &k.to_string(),
-                        ],
-                    );
-                    let mut re_trace = CallTrace::default();
-                    match svc.transform(
-                        seed_code,
-                        pool_index,
-                        &mut re_rng,
-                        &re_scope,
-                        &mut cx.budget,
-                        &mut cx.breaker,
-                        &mut re_trace,
-                    ) {
-                        Ok(source) => {
-                            absorb(&mut stats, &re_trace);
-                            rescued = Some((source, k));
-                            break;
-                        }
-                        Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-                        Err(re_err) => {
-                            absorb(&mut stats, &re_trace);
-                            if matches!(re_err, GptError::CircuitOpen { .. }) {
-                                stats.record_fault("circuit-open");
-                            }
-                        }
-                    }
-                }
-                match rescued {
-                    Some((source, k)) => {
-                        samples.push(sample(
-                            source,
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        Outcome::Degraded {
-                            fallback: Fallback::Resampled { resamples: k },
-                        }
-                    }
-                    None => {
-                        samples.push(sample(
-                            seed_code.to_string(),
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        Outcome::Failed
-                    }
-                }
-            }
-        };
-        stats.record(outcome);
-        outcomes.push(outcome);
-    }
-    stats.breaker_trips = cx.breaker.trips() - trips_before;
-    Ok(ReferenceRun {
-        samples,
-        outcomes,
-        stats,
-    })
-}
-
-/// The pre-cache CT driver; see [`run_nct_resilient_reference`].
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`] — `seed_code` outside the subset.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ct_resilient_reference(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ReferenceRun, GptError> {
-    let pool = svc.pool();
-    let year = pool.year;
-    let mut samples = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ResilienceStats::default();
-    let trips_before = cx.breaker.trips();
-    let mut current = seed_code.to_string();
-    let mut style_idx = pool.sample_index(rng);
-    for step in 1..=n {
-        if step > 1 && !rng.next_bool(pool.ct_stickiness) {
-            style_idx = pool.sample_index(rng);
+/// The outcome of a call that was answered: clean on the first
+/// attempt, recovered after retries.
+fn answered(trace: &CallTrace) -> Outcome {
+    if trace.attempts > 1 {
+        Outcome::Recovered {
+            attempts: trace.attempts,
         }
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform(
-            &current,
-            style_idx,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-        ) {
-            Ok(source) => {
-                absorb(&mut stats, &trace);
-                current = source.clone();
-                samples.push(sample(
-                    source,
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    current.clone(),
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                    Outcome::Failed
-                } else {
-                    Outcome::Degraded {
-                        fallback: Fallback::HeldStep,
-                    }
-                }
-            }
-        };
-        stats.record(outcome);
-        outcomes.push(outcome);
+    } else {
+        Outcome::Clean
     }
-    stats.breaker_trips = cx.breaker.trips() - trips_before;
-    Ok(ReferenceRun {
-        samples,
-        outcomes,
-        stats,
-    })
-}
-
-/// What the reference drivers return: a [`ResilientRun`] minus the
-/// carried ASTs (the pre-cache pipeline threw them away — that is the
-/// point of the comparison).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReferenceRun {
-    /// The transformed samples, in step order. Always `n` long.
-    pub samples: Vec<TransformedSample>,
-    /// `outcomes[i]` describes how `samples[i]` survived the chaos.
-    pub outcomes: Vec<Outcome>,
-    /// Aggregated accounting for the stream.
-    pub stats: ResilienceStats,
 }
 
 #[cfg(test)]
@@ -970,84 +431,6 @@ mod tests {
             }),
             resamples: 3,
         }
-    }
-
-    #[test]
-    fn zero_rate_matches_fault_free_drivers_exactly() {
-        let pool = YearPool::calibrated(2018, 1);
-        let bare = Transformer::new(&pool);
-        let svc = lenient_svc(&pool, 99, 0.0);
-        let seed = seed_code(1);
-
-        let plain = try_run_nct(&bare, &seed, 10, Origin::ChatGpt, &mut Pcg64::new(4)).unwrap();
-        let run = run_nct_resilient(
-            &svc,
-            &seed,
-            10,
-            Origin::ChatGpt,
-            &mut Pcg64::new(4),
-            "a",
-            &mut lenient_cx(),
-        )
-        .unwrap();
-        assert_eq!(run.samples, plain);
-        assert!(run.outcomes.iter().all(|o| *o == Outcome::Clean));
-        assert_eq!(run.stats.clean, 10);
-        assert_eq!(run.stats.retries, 0);
-
-        let plain = try_run_ct(&bare, &seed, 10, Origin::Human, &mut Pcg64::new(5)).unwrap();
-        let run = run_ct_resilient(
-            &svc,
-            &seed,
-            10,
-            Origin::Human,
-            &mut Pcg64::new(5),
-            "a",
-            &mut lenient_cx(),
-        )
-        .unwrap();
-        assert_eq!(run.samples, plain);
-        assert_eq!(run.stats.fidelity(), 1.0);
-    }
-
-    #[test]
-    fn recoverable_faults_are_byte_invisible() {
-        // 20% fault rate, generous retries: every step must recover
-        // and the sample vectors must be *identical* to fault-free.
-        let pool = YearPool::calibrated(2019, 2);
-        let bare = Transformer::new(&pool);
-        let svc = lenient_svc(&pool, 7, 0.2);
-        let seed = seed_code(2);
-
-        let plain = try_run_nct(&bare, &seed, 15, Origin::ChatGpt, &mut Pcg64::new(8)).unwrap();
-        let run = run_nct_resilient(
-            &svc,
-            &seed,
-            15,
-            Origin::ChatGpt,
-            &mut Pcg64::new(8),
-            "b",
-            &mut lenient_cx(),
-        )
-        .unwrap();
-        assert_eq!(run.samples, plain, "recovered NCT must be byte-identical");
-        assert!(run.outcomes.iter().all(|o| o.is_faithful()));
-        assert!(run.stats.recovered > 0, "20% rate must hit something");
-        assert!(run.stats.backoff_ms > 0);
-
-        let plain = try_run_ct(&bare, &seed, 15, Origin::ChatGpt, &mut Pcg64::new(9)).unwrap();
-        let run = run_ct_resilient(
-            &svc,
-            &seed,
-            15,
-            Origin::ChatGpt,
-            &mut Pcg64::new(9),
-            "b",
-            &mut lenient_cx(),
-        )
-        .unwrap();
-        assert_eq!(run.samples, plain, "recovered CT must be byte-identical");
-        assert!(run.outcomes.iter().all(|o| o.is_faithful()));
     }
 
     #[test]
@@ -1165,66 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_drivers_match_parsed_drivers_byte_for_byte() {
-        // The pre-cache baseline must differ only in how much frontend
-        // work it repeats — samples, outcomes, and stats are identical
-        // at every fault rate, or the A/B comparison measures nothing.
-        let pool = YearPool::calibrated(2019, 3);
-        let seed = seed_code(9);
-        for rate in [0.0, 0.05, 0.35] {
-            let svc =
-                FaultyTransformer::new(&pool, FaultPlan::new(55, rate), RetryPolicy::no_retries());
-            let nct_new = run_nct_resilient(
-                &svc,
-                &seed,
-                10,
-                Origin::ChatGpt,
-                &mut Pcg64::new(31),
-                "r",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            let nct_ref = run_nct_resilient_reference(
-                &svc,
-                &seed,
-                10,
-                Origin::ChatGpt,
-                &mut Pcg64::new(31),
-                "r",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            assert_eq!(nct_new.samples, nct_ref.samples, "rate={rate}");
-            assert_eq!(nct_new.outcomes, nct_ref.outcomes, "rate={rate}");
-            assert_eq!(nct_new.stats, nct_ref.stats, "rate={rate}");
-
-            let ct_new = run_ct_resilient(
-                &svc,
-                &seed,
-                10,
-                Origin::Human,
-                &mut Pcg64::new(32),
-                "r",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            let ct_ref = run_ct_resilient_reference(
-                &svc,
-                &seed,
-                10,
-                Origin::Human,
-                &mut Pcg64::new(32),
-                "r",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            assert_eq!(ct_new.samples, ct_ref.samples, "rate={rate}");
-            assert_eq!(ct_new.outcomes, ct_ref.outcomes, "rate={rate}");
-            assert_eq!(ct_new.stats, ct_ref.stats, "rate={rate}");
-        }
-    }
-
-    #[test]
     fn carried_units_match_a_fresh_parse_of_each_sample() {
         // Every AST the drivers hand downstream must be exactly what
         // re-parsing the sample text would produce — including held CT
@@ -1264,82 +587,57 @@ mod tests {
     }
 
     #[test]
-    fn cached_drivers_match_parsed_drivers_across_fault_rates() {
-        // The node-cached resilient drivers must be a pure-function
-        // swap: same samples, outcomes, and stats as the uncached
-        // drivers at every fault rate, and each cached step's region
-        // structure must describe its sample exactly.
+    fn cached_drivers_match_fault_free_chains_across_fault_rates() {
+        // Recovered faults are invisible: at every rate, with generous
+        // retries, the drivers return exactly the fault-free chain's
+        // samples, and each step's region structure describes its
+        // sample exactly.
+        let pool = YearPool::calibrated(2019, 2);
+        let bare = Transformer::new(&pool);
+        let seed = seed_code(2);
+        let seed_unit = parse(&seed).unwrap();
         for (fault_seed, rate) in [(99u64, 0.0), (7, 0.05), (7, 0.20)] {
-            let pool = YearPool::calibrated(2019, 2);
             let svc = lenient_svc(&pool, fault_seed, rate);
-            let seed = seed_code(2);
-            let seed_unit = parse(&seed).unwrap();
-
             for chaining in [false, true] {
-                let (base_rng_seed, anchor) = if chaining {
+                let (rng_seed, anchor) = if chaining {
                     (9, "ct-ab")
                 } else {
                     (8, "nct-ab")
                 };
-                let plain = if chaining {
-                    run_ct_resilient_parsed(
-                        &svc,
-                        &seed,
-                        &seed_unit,
-                        15,
-                        Origin::ChatGpt,
-                        &mut Pcg64::new(base_rng_seed),
-                        anchor,
-                        &mut lenient_cx(),
-                    )
+                let plain_driver = if chaining { try_run_ct } else { try_run_nct };
+                let cached_driver = if chaining {
+                    run_ct_resilient_cached
                 } else {
-                    run_nct_resilient_parsed(
-                        &svc,
-                        &seed,
-                        &seed_unit,
-                        15,
-                        Origin::ChatGpt,
-                        &mut Pcg64::new(base_rng_seed),
-                        anchor,
-                        &mut lenient_cx(),
-                    )
-                }
-                .unwrap();
+                    run_nct_resilient_cached
+                };
+                let plain =
+                    plain_driver(&bare, &seed, 15, Origin::ChatGpt, &mut Pcg64::new(rng_seed))
+                        .unwrap();
                 let mut fc = FrontendCache::new();
-                let cached = if chaining {
-                    run_ct_resilient_cached(
-                        &svc,
-                        &seed,
-                        &seed_unit,
-                        15,
-                        Origin::ChatGpt,
-                        &mut Pcg64::new(base_rng_seed),
-                        anchor,
-                        &mut lenient_cx(),
-                        &mut fc,
-                    )
-                } else {
-                    run_nct_resilient_cached(
-                        &svc,
-                        &seed,
-                        &seed_unit,
-                        15,
-                        Origin::ChatGpt,
-                        &mut Pcg64::new(base_rng_seed),
-                        anchor,
-                        &mut lenient_cx(),
-                        &mut fc,
-                    )
-                }
+                let cached = cached_driver(
+                    &svc,
+                    &seed,
+                    &seed_unit,
+                    15,
+                    Origin::ChatGpt,
+                    &mut Pcg64::new(rng_seed),
+                    anchor,
+                    &mut lenient_cx(),
+                    &mut fc,
+                )
                 .unwrap();
                 let label = format!("rate {rate} chaining {chaining}");
-                assert_eq!(cached.samples, plain.samples, "{label}");
-                assert_eq!(cached.units, plain.units, "{label}");
-                assert_eq!(cached.outcomes, plain.outcomes, "{label}");
-                assert_eq!(cached.stats, plain.stats, "{label}");
+                assert_eq!(cached.samples, plain, "{label}");
+                assert!(cached.outcomes.iter().all(|o| o.is_faithful()), "{label}");
+                assert_eq!(cached.stats.calls, 15, "{label}");
                 assert_eq!(cached.regions.len(), cached.samples.len(), "{label}");
                 for (i, (s, ri)) in cached.samples.iter().zip(&cached.regions).enumerate() {
-                    let Some(ri) = ri else { continue };
+                    assert_eq!(
+                        cached.units[i],
+                        parse(&s.source).unwrap(),
+                        "{label} step {i}"
+                    );
+                    let ri = ri.as_ref().expect("accepted steps carry regions");
                     assert_eq!(
                         ri.spans.len(),
                         cached.units[i].items.len(),
@@ -1354,8 +652,16 @@ mod tests {
                         "{label} step {i}"
                     );
                 }
-                if rate == 0.0 && chaining {
-                    assert!(fc.node_hits() > 0, "CT chain must reuse cached nodes");
+                if rate == 0.0 {
+                    let stats = &cached.stats;
+                    assert_eq!((stats.clean, stats.retries), (15, 0), "{label}");
+                    assert!(!chaining || fc.node_hits() > 0, "CT chain must reuse nodes");
+                } else if rate == 0.20 {
+                    let stats = &cached.stats;
+                    assert!(
+                        stats.recovered > 0 && stats.backoff_ms > 0,
+                        "{label}: {stats:?}"
+                    );
                 }
             }
         }

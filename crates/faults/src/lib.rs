@@ -61,14 +61,11 @@ pub mod traffic;
 pub mod validate;
 
 pub use breaker::{BreakerConfig, CircuitBreaker};
-pub use drivers::{
-    run_ct_resilient, run_ct_resilient_parsed, run_ct_resilient_reference, run_nct_resilient,
-    run_nct_resilient_parsed, run_nct_resilient_reference, ReferenceRun, ResilientRun, StreamCx,
-};
+pub use drivers::{run_ct_resilient, run_nct_resilient, StreamCx};
 pub use outcome::{Fallback, Outcome, ResilienceStats};
 pub use plan::{CallScope, FaultKind, FaultPlan, FaultWeights, InjectedFault};
 pub use profile::FaultProfile;
 pub use retry::{RetryBudget, RetryPolicy};
-pub use service::{AcceptedResponse, CallTrace, FaultyTransformer};
+pub use service::{CallTrace, FaultyTransformer};
 pub use traffic::{HostileKind, HostileScript, ScriptEnd, SocketOp, TrafficProfile};
 pub use validate::{Expectation, ResponseValidator};

@@ -38,21 +38,9 @@ pub struct CallTrace {
 }
 
 /// A response that passed the validation gate, together with the
-/// byproducts of validating it: its AST (parsed exactly once, inside
-/// the gate) and its own [`Expectation`] for when it becomes the next
-/// chain step's input.
-#[derive(Debug, Clone)]
-pub struct AcceptedResponse {
-    /// The accepted transformed source text.
-    pub source: String,
-    /// The AST of `source`.
-    pub unit: TranslationUnit,
-    /// `source`'s diagnostics + fingerprint, ready for the next call.
-    pub expectation: Expectation,
-}
-
-/// An [`AcceptedResponse`] that also carries the response's node-level
-/// region structure, as produced by the cached service path.
+/// byproducts of validating it: its AST (never re-parsed), its
+/// node-level region structure, and its own [`Expectation`] for when it
+/// becomes the next chain step's input.
 #[derive(Debug, Clone)]
 pub struct AcceptedStep {
     /// The accepted transformed source text.
@@ -123,9 +111,10 @@ impl<'a> FaultyTransformer<'a> {
     ) -> Result<String, GptError> {
         let unit = parse(source).map_err(GptError::Parse)?;
         let expectation = self.prepare(&unit);
-        self.transform_prepared(
+        self.transform_prepared_cached(
             source,
             &unit,
+            None,
             &expectation,
             pool_index,
             rng,
@@ -133,6 +122,7 @@ impl<'a> FaultyTransformer<'a> {
             budget,
             breaker,
             trace,
+            &mut FrontendCache::new(),
         )
         .map(|accepted| accepted.source)
     }
@@ -144,140 +134,22 @@ impl<'a> FaultyTransformer<'a> {
         self.validator.expectation_parsed(unit)
     }
 
-    /// Single-parse variant of [`FaultyTransformer::transform`]: the
-    /// caller supplies the input's AST and precomputed expectation
-    /// (from [`FaultyTransformer::prepare`]), and gets back the
-    /// accepted response together with its AST and expectation — both
-    /// byproducts of the validation gate the response already passed,
-    /// so a CT chain can feed the response straight into the next call
-    /// with zero re-parses.
-    ///
-    /// Faults, retries, RNG commitment, and the produced text are
-    /// byte-identical to [`FaultyTransformer::transform`].
+    /// [`FaultyTransformer::transform`] on an already-parsed input,
+    /// through the node cache `fc`: the caller supplies the input's AST
+    /// and precomputed expectation (from [`FaultyTransformer::prepare`]),
+    /// and the attempt's layout detection, render, diagnostics and
+    /// fingerprint all run through `fc`, so a chain step pays only for
+    /// the items it changed. `regions` is the input's node structure
+    /// when the input was itself produced by a cached step (`None` for
+    /// raw seeds). The accepted response comes back with its AST,
+    /// regions and expectation, so a CT chain feeds it straight into
+    /// the next call with zero re-parses.
     ///
     /// # Errors
     ///
     /// Same as [`FaultyTransformer::transform`], minus the fail-fast
     /// [`GptError::Parse`] (a parsed input cannot be outside the
     /// subset).
-    #[allow(clippy::too_many_arguments)]
-    pub fn transform_prepared(
-        &self,
-        source: &str,
-        unit: &TranslationUnit,
-        expectation: &Expectation,
-        pool_index: usize,
-        rng: &mut Pcg64,
-        scope: &CallScope<'_>,
-        budget: &mut RetryBudget,
-        breaker: &mut CircuitBreaker,
-        trace: &mut CallTrace,
-    ) -> Result<AcceptedResponse, GptError> {
-        let mut attempt: u32 = 1;
-        loop {
-            if let Err(fails) = breaker.admit() {
-                return Err(GptError::CircuitOpen {
-                    consecutive_failures: fails,
-                });
-            }
-            trace.attempts = attempt;
-            match self.attempt(source, unit, pool_index, rng, scope, attempt, expectation) {
-                Ok(out) => {
-                    breaker.record_success();
-                    return Ok(out);
-                }
-                Err(e) if !e.is_retryable() => {
-                    breaker.record_failure();
-                    return Err(e);
-                }
-                Err(e) => {
-                    trace.fault_tags.push(e.tag());
-                    breaker.record_failure();
-                    if attempt >= self.policy.max_attempts {
-                        return Err(GptError::RetriesExhausted {
-                            attempts: attempt,
-                            last: Box::new(e),
-                        });
-                    }
-                    if !budget.try_spend() {
-                        return Err(GptError::BudgetExhausted { last: Box::new(e) });
-                    }
-                    let mut jitter = scope.stream(self.plan.seed, "backoff", attempt);
-                    trace.backoff_ms += self.policy.backoff_ms(attempt, &mut jitter);
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// One attempt: inject per the plan, transform on a cloned stream,
-    /// validate, and commit the stream only if everything passed.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &self,
-        source: &str,
-        unit: &TranslationUnit,
-        pool_index: usize,
-        rng: &mut Pcg64,
-        scope: &CallScope<'_>,
-        attempt: u32,
-        expectation: &Expectation,
-    ) -> Result<AcceptedResponse, GptError> {
-        let injected = self.plan.draw(scope, attempt);
-        if let Some(fault) = &injected {
-            let mut params = fault.params.clone();
-            match fault.kind {
-                FaultKind::Timeout => {
-                    return Err(GptError::Service(ServiceFault::Timeout {
-                        after_ms: 500 + params.next_u64() % 1_500,
-                    }));
-                }
-                FaultKind::RateLimit => {
-                    return Err(GptError::Service(ServiceFault::RateLimited {
-                        retry_after_ms: 100 + params.next_u64() % 2_000,
-                    }));
-                }
-                FaultKind::Transient => {
-                    let code = *params.choose(&[500u16, 502, 503]).expect("non-empty");
-                    return Err(GptError::Service(ServiceFault::Transient { code }));
-                }
-                FaultKind::Truncated | FaultKind::Corrupted => {}
-            }
-        }
-        let mut attempt_rng = rng.clone();
-        let out = self
-            .inner
-            .transform_parsed(source, unit, pool_index, &mut attempt_rng)?;
-        let out = match injected {
-            Some(fault) => {
-                let mut params = fault.params;
-                self.sabotage(fault.kind, &out, &mut params, expectation)
-            }
-            None => out,
-        };
-        let (resp_unit, resp_expectation) = self.validator.validate(expectation, &out)?;
-        // Commit: the caller's stream advances exactly as a fault-free
-        // call would have.
-        *rng = attempt_rng;
-        Ok(AcceptedResponse {
-            source: out,
-            unit: resp_unit,
-            expectation: resp_expectation,
-        })
-    }
-
-    /// Node-cached variant of [`FaultyTransformer::transform_prepared`]:
-    /// the attempt's layout detection, render, re-parse, diagnostics
-    /// and fingerprint all run through `fc`, so a chain step pays only
-    /// for the items it actually changed. `regions` is the input's
-    /// node structure when the input was itself produced by a cached
-    /// step (`None` for raw seeds). Faults, retries, RNG commitment,
-    /// produced text, and every error are byte-identical to
-    /// [`FaultyTransformer::transform_prepared`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FaultyTransformer::transform_prepared`].
     #[allow(clippy::too_many_arguments)]
     pub fn transform_prepared_cached(
         &self,
@@ -340,10 +212,11 @@ impl<'a> FaultyTransformer<'a> {
         }
     }
 
-    /// One node-cached attempt. Sabotaged attempts fall back to the
-    /// plain text gate (the mangled body is not region-tiled); clean
-    /// attempts validate through the unit-hash diagnostic and
-    /// fingerprint caches.
+    /// One attempt: inject per the plan, transform on a cloned stream,
+    /// validate, and commit the stream only if everything passed.
+    /// Sabotaged attempts go through the plain text gate (the mangled
+    /// body is not region-tiled); clean attempts validate through the
+    /// unit-hash diagnostic and fingerprint caches.
     #[allow(clippy::too_many_arguments)]
     fn attempt_cached(
         &self,
@@ -393,9 +266,9 @@ impl<'a> FaultyTransformer<'a> {
             fc,
         ) {
             Ok(s) => s,
-            // The reference path discovers an unparseable rendered
-            // body inside `validate`; surface the identical retryable
-            // violation rather than the cached step's typed error.
+            // An unparseable rendered body is a bad response, not bad
+            // input: surface the retryable violation the text gate
+            // raises for one.
             Err(GptError::Parse(e)) => {
                 return Err(GptError::InvalidResponse {
                     violation: ResponseViolation::Unparseable,
@@ -410,7 +283,6 @@ impl<'a> FaultyTransformer<'a> {
             let err = self
                 .validator
                 .validate(expectation, &mangled)
-                .map(|_| ())
                 .expect_err("sabotage is construction-guaranteed to fail validation");
             return Err(err);
         }

@@ -73,8 +73,8 @@ impl ResponseValidator {
     /// response that is already parsed and analyzed: `post_diags` and
     /// `fp` must be the response's analyzer output and fingerprint
     /// (possibly served from a unit-hash cache). Runs the identical
-    /// lint-delta and fingerprint checks and returns the identical
-    /// next-call [`Expectation`].
+    /// lint-delta and fingerprint checks, and returns the response's
+    /// own [`Expectation`] for when it becomes the next call's input.
     ///
     /// # Errors
     ///
@@ -110,20 +110,10 @@ impl ResponseValidator {
 
     /// Accepts or rejects one response body.
     ///
-    /// On success, returns the response's AST (parsed exactly once,
-    /// here) together with the response's own [`Expectation`] — CT
-    /// chains feed each accepted response in as the next call's input,
-    /// and both byproducts fall out of the gates this method already
-    /// ran, so returning them makes the whole retry loop single-parse.
-    ///
     /// # Errors
     ///
     /// [`GptError::InvalidResponse`] naming the first violated gate.
-    pub fn validate(
-        &self,
-        expected: &Expectation,
-        response: &str,
-    ) -> Result<(TranslationUnit, Expectation), GptError> {
+    pub fn validate(&self, expected: &Expectation, response: &str) -> Result<(), GptError> {
         let unit = match parse(response) {
             Ok(u) => u,
             Err(e) => {
@@ -151,13 +141,7 @@ impl ResponseValidator {
                 ),
             });
         }
-        Ok((
-            unit,
-            Expectation {
-                pre_diags: post_diags,
-                fingerprint: fp,
-            },
-        ))
+        Ok(())
     }
 }
 
@@ -244,14 +228,15 @@ mod tests {
     }
 
     #[test]
-    fn validate_returns_the_responses_own_expectation() {
+    fn validate_parsed_returns_the_responses_own_expectation() {
         // CT chains reuse the accepted response's expectation for the
         // next call; it must equal recomputing it from scratch.
         let v = ResponseValidator::new();
         let exp = v.expectation(SRC).unwrap();
         let renamed = "int main() { int count = 0; count = count + 1; return 0; }";
-        let (unit, next) = v.validate(&exp, renamed).unwrap();
-        assert_eq!(unit, parse(renamed).unwrap());
+        let unit = parse(renamed).unwrap();
+        let post = Arc::new(v.analyzer().analyze(&unit));
+        let next = v.validate_parsed(&exp, post, fingerprint(&unit)).unwrap();
         assert_eq!(next, v.expectation(renamed).unwrap());
     }
 }

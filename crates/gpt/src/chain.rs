@@ -13,7 +13,6 @@
 use crate::error::GptError;
 use crate::transform::Transformer;
 use synthattr_gen::corpus::Origin;
-use synthattr_lang::{parse, TranslationUnit};
 use synthattr_util::Pcg64;
 
 /// Which protocol produced a transformed sample.
@@ -39,21 +38,6 @@ pub struct TransformedSample {
     /// The latent pool style targeted at this step (ground truth the
     /// oracle model never sees; used for diagnostics).
     pub pool_index: usize,
-}
-
-/// One transformed sample together with the parsed AST of its rendered
-/// text.
-///
-/// The single-parse drivers ([`try_run_nct_steps`] /
-/// [`try_run_ct_steps`]) hand the AST back to the caller instead of
-/// discarding it, so downstream stages (lint, fingerprint, feature
-/// extraction) never re-parse text the chain already parsed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainStep {
-    /// The transformed sample (text + provenance).
-    pub sample: TransformedSample,
-    /// The AST parsed from `sample.source`, exactly once.
-    pub unit: TranslationUnit,
 }
 
 /// Runs non-chaining transformation: `n` independent transforms of
@@ -175,106 +159,6 @@ pub fn run_ct(
         .unwrap_or_else(|e| panic!("chain steps stay inside the subset: {e}"))
 }
 
-/// Single-parse NCT driver: like [`try_run_nct`] but takes the seed's
-/// already-parsed `seed_unit` and returns each step's AST alongside
-/// its text. Each rendered output is parsed exactly once; the seed is
-/// never re-parsed. RNG consumption and produced samples are
-/// byte-identical to [`try_run_nct`].
-///
-/// # Errors
-///
-/// Returns [`GptError::Parse`] if a rendered output leaves the subset
-/// (a transformer bug, surfaced as a typed error for the fault layer).
-pub fn try_run_nct_steps(
-    transformer: &Transformer<'_>,
-    seed_code: &str,
-    seed_unit: &TranslationUnit,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-) -> Result<Vec<ChainStep>, GptError> {
-    let pool = transformer.pool();
-    #[cfg(debug_assertions)]
-    let seed_fp = synthattr_analysis::fingerprint(seed_unit);
-    (1..=n)
-        .map(|step| {
-            let pool_index = pool.sample_index(rng);
-            let source = transformer.transform_parsed(seed_code, seed_unit, pool_index, rng)?;
-            let unit = parse(&source).map_err(GptError::Parse)?;
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                synthattr_analysis::fingerprint(&unit),
-                seed_fp,
-                "NCT step {step} drifted from the seed's semantic fingerprint"
-            );
-            Ok(ChainStep {
-                sample: TransformedSample {
-                    source,
-                    step,
-                    mode: TransformMode::NonChaining,
-                    seed_origin,
-                    pool_index,
-                },
-                unit,
-            })
-        })
-        .collect()
-}
-
-/// Single-parse CT driver: like [`try_run_ct`] but takes the seed's
-/// already-parsed `seed_unit` and returns each step's AST alongside
-/// its text. Step `i+1` transforms step `i`'s AST directly — the chain
-/// parses each rendered output once and re-parses nothing. RNG
-/// consumption and produced samples are byte-identical to
-/// [`try_run_ct`].
-///
-/// # Errors
-///
-/// Returns [`GptError::Parse`] if a rendered output leaves the subset.
-pub fn try_run_ct_steps(
-    transformer: &Transformer<'_>,
-    seed_code: &str,
-    seed_unit: &TranslationUnit,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-) -> Result<Vec<ChainStep>, GptError> {
-    let pool = transformer.pool();
-    #[cfg(debug_assertions)]
-    let seed_fp = synthattr_analysis::fingerprint(seed_unit);
-    let mut style_idx = pool.sample_index(rng);
-    let mut out: Vec<ChainStep> = Vec::with_capacity(n);
-    for step in 1..=n {
-        if step > 1 && !rng.next_bool(pool.ct_stickiness) {
-            style_idx = pool.sample_index(rng);
-        }
-        let source = match out.last() {
-            Some(prev) => {
-                transformer.transform_parsed(&prev.sample.source, &prev.unit, style_idx, rng)?
-            }
-            None => transformer.transform_parsed(seed_code, seed_unit, style_idx, rng)?,
-        };
-        let unit = parse(&source).map_err(GptError::Parse)?;
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            synthattr_analysis::fingerprint(&unit),
-            seed_fp,
-            "CT step {step} drifted from the seed's semantic fingerprint"
-        );
-        out.push(ChainStep {
-            sample: TransformedSample {
-                source,
-                step,
-                mode: TransformMode::Chaining,
-                seed_origin,
-                pool_index: style_idx,
-            },
-            unit,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,53 +269,6 @@ mod tests {
         let c = run_ct(&gpt, &seed, 6, Origin::Human, &mut Pcg64::new(22));
         let d = try_run_ct(&gpt, &seed, 6, Origin::Human, &mut Pcg64::new(22)).unwrap();
         assert_eq!(c, d);
-    }
-
-    #[test]
-    fn steps_drivers_match_plain_drivers_byte_for_byte() {
-        // The single-parse drivers must be invisible: same RNG draws,
-        // same rendered text, and the returned ASTs re-parse to the
-        // exact unit of the returned text.
-        let pool = YearPool::calibrated(2018, 3);
-        let gpt = Transformer::new(&pool);
-        let seed = seed_code(9);
-        let seed_unit = parse(&seed).unwrap();
-
-        let plain = try_run_nct(&gpt, &seed, 7, Origin::ChatGpt, &mut Pcg64::new(31)).unwrap();
-        let steps = try_run_nct_steps(
-            &gpt,
-            &seed,
-            &seed_unit,
-            7,
-            Origin::ChatGpt,
-            &mut Pcg64::new(31),
-        )
-        .unwrap();
-        assert_eq!(
-            plain,
-            steps.iter().map(|s| s.sample.clone()).collect::<Vec<_>>()
-        );
-        for s in &steps {
-            assert_eq!(s.unit, parse(&s.sample.source).unwrap());
-        }
-
-        let plain = try_run_ct(&gpt, &seed, 7, Origin::Human, &mut Pcg64::new(32)).unwrap();
-        let steps = try_run_ct_steps(
-            &gpt,
-            &seed,
-            &seed_unit,
-            7,
-            Origin::Human,
-            &mut Pcg64::new(32),
-        )
-        .unwrap();
-        assert_eq!(
-            plain,
-            steps.iter().map(|s| s.sample.clone()).collect::<Vec<_>>()
-        );
-        for s in &steps {
-            assert_eq!(s.unit, parse(&s.sample.source).unwrap());
-        }
     }
 
     #[test]

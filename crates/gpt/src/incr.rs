@@ -16,19 +16,22 @@
 //!   diagnostics/fingerprints by unit structural hash;
 //! * [`transform_step_cached`] — one chain step through the caches,
 //!   consuming the exact RNG stream of
-//!   [`Transformer::transform_parsed`] and producing byte-identical
+//!   [`Transformer::transform`] and producing byte-identical
 //!   text plus a parsed unit equal to `parse(text)` (handed through
 //!   from the rewrite — the renderer is the parser's inverse on the
 //!   rewriter's AST subset, so the step never re-parses its own
 //!   render);
 //! * [`try_run_nct_steps_cached`] / [`try_run_ct_steps_cached`] —
-//!   drop-in chain drivers returning each step's [`RegionInfo`] so
-//!   downstream stages can featurize incrementally.
+//!   the fault-free chain drivers, byte-identical to
+//!   [`try_run_nct`](crate::chain::try_run_nct) /
+//!   [`try_run_ct`](crate::chain::try_run_ct), returning each step's
+//!   [`RegionInfo`] so downstream stages can featurize incrementally.
 //!
 //! Collision policy (DESIGN.md §12): text-keyed caches are exact by
 //! construction; 64-bit structural-hash caches are trusted in release
-//! and re-verified by `debug_assert`s plus the `reference-increment`
-//! A/B grid in the core crate.
+//! and re-verified by the per-call `debug_assert`s below, which the
+//! root package's golden frontend grid (`tests/frontend_golden.rs`)
+//! runs in debug builds.
 
 use crate::error::GptError;
 use crate::transform::{detect_render_style, Transformer};
@@ -410,22 +413,21 @@ pub fn detect_with_regions(
 /// Runs one transformation step through the node caches.
 ///
 /// Byte-identical to
-/// [`Transformer::transform_parsed`]`(source, unit, pool_idx, rng)`
-/// followed by `parse(&output)`: the rewrite pass consumes the exact
-/// RNG stream, the render assembles cached per-item pieces under the
-/// blended style, and the returned unit is the rewritten AST itself —
-/// equal to a fresh whole parse because the renderer is the parser's
-/// inverse on every AST the rewrite passes can produce (re-proved by
-/// `debug_assert` on every debug run and by the `reference-increment`
-/// A/B grid against the whole-file path's real parses).
+/// [`Transformer::transform`]`(source, pool_idx, rng)` followed by
+/// `parse(&output)`: the rewrite pass consumes the exact RNG stream,
+/// the render assembles cached per-item pieces under the blended
+/// style, and the returned unit is the rewritten AST itself — equal to
+/// a fresh whole parse because the renderer is the parser's inverse on
+/// every AST the rewrite passes can produce (re-proved by
+/// `debug_assert` on every debug run).
 /// `src_render` must equal `detect_render_style(source)` (callers get
 /// it from [`detect_with_regions`] or the whole-text detector).
 ///
 /// # Errors
 ///
 /// Infallible in practice; the `Result` carries the debug-only
-/// semantics check (and keeps the signature aligned with the reference
-/// path, which re-parses and can surface [`GptError::Parse`]).
+/// semantics check, which re-parses and can surface
+/// [`GptError::Parse`].
 pub fn transform_step_cached(
     transformer: &Transformer<'_>,
     source: &str,
@@ -473,9 +475,7 @@ pub fn transform_step_cached(
     // renderer prints ambiguously). The rewritten AST *is* the parse of
     // the assembled text, so the step hands it straight through instead
     // of re-parsing its own render region by region. The identity is
-    // re-proved on every debug run below and end-to-end by the
-    // `reference-increment` A/B grid (units are compared against the
-    // whole-file path, whose units come from real `parse` calls).
+    // re-proved on every debug run below.
     debug_assert_eq!(
         rewritten,
         parse(&out).expect("assembled text re-parses"),
@@ -517,9 +517,9 @@ pub struct CachedStep {
 }
 
 /// Cached NCT driver: byte-identical to
-/// [`try_run_nct_steps`](crate::chain::try_run_nct_steps), with the
-/// seed's layout detection hoisted out of the loop (the seed never
-/// changes) and every per-item product shared through `fc`.
+/// [`try_run_nct`](crate::chain::try_run_nct), with the seed's layout
+/// detection hoisted out of the loop (the seed never changes) and every
+/// per-item product shared through `fc`.
 ///
 /// # Errors
 ///
@@ -572,9 +572,9 @@ pub fn try_run_nct_steps_cached(
 }
 
 /// Cached CT driver: byte-identical to
-/// [`try_run_ct_steps`](crate::chain::try_run_ct_steps). Step `i+1`
-/// detects layout from step `i`'s cached region scans and reuses every
-/// unchanged item's rendered text, parse, and hashes through `fc`.
+/// [`try_run_ct`](crate::chain::try_run_ct). Step `i+1` detects layout
+/// from step `i`'s cached region scans and reuses every unchanged
+/// item's rendered text, parse, and hashes through `fc`.
 ///
 /// # Errors
 ///
@@ -640,7 +640,7 @@ pub fn try_run_ct_steps_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::{try_run_ct_steps, try_run_nct_steps};
+    use crate::chain::{try_run_ct, try_run_nct};
     use crate::pool::YearPool;
     use synthattr_gen::challenges::ChallengeId;
     use synthattr_gen::corpus::{solution_in_style, Origin};
@@ -706,15 +706,7 @@ mod tests {
         let seed = seed_code(9);
         let seed_unit = parse(&seed).unwrap();
 
-        let plain = try_run_ct_steps(
-            &gpt,
-            &seed,
-            &seed_unit,
-            12,
-            Origin::Human,
-            &mut Pcg64::new(32),
-        )
-        .unwrap();
+        let plain = try_run_ct(&gpt, &seed, 12, Origin::Human, &mut Pcg64::new(32)).unwrap();
         let mut fc = FrontendCache::new();
         let cached = try_run_ct_steps_cached(
             &gpt,
@@ -728,8 +720,7 @@ mod tests {
         .unwrap();
         assert_eq!(plain.len(), cached.len());
         for (p, c) in plain.iter().zip(&cached) {
-            assert_eq!(p.sample, c.sample);
-            assert_eq!(p.unit, c.unit);
+            assert_eq!(*p, c.sample);
             assert_eq!(c.unit, parse(&c.sample.source).unwrap());
             // Region structure tiles the text and hashes its items.
             let mut pos = 0usize;
@@ -761,8 +752,8 @@ mod tests {
         )
         .unwrap();
         for (p, c) in plain.iter().zip(&warm) {
-            assert_eq!(p.sample, c.sample);
-            assert_eq!(p.unit, c.unit);
+            assert_eq!(*p, c.sample);
+            assert_eq!(c.unit, parse(&c.sample.source).unwrap());
         }
     }
 
@@ -773,15 +764,7 @@ mod tests {
         let seed = seed_code(4);
         let seed_unit = parse(&seed).unwrap();
 
-        let plain = try_run_nct_steps(
-            &gpt,
-            &seed,
-            &seed_unit,
-            10,
-            Origin::ChatGpt,
-            &mut Pcg64::new(31),
-        )
-        .unwrap();
+        let plain = try_run_nct(&gpt, &seed, 10, Origin::ChatGpt, &mut Pcg64::new(31)).unwrap();
         let mut fc = FrontendCache::new();
         let cached = try_run_nct_steps_cached(
             &gpt,
@@ -795,9 +778,117 @@ mod tests {
         .unwrap();
         assert_eq!(plain.len(), cached.len());
         for (p, c) in plain.iter().zip(&cached) {
-            assert_eq!(p.sample, c.sample);
-            assert_eq!(p.unit, c.unit);
+            assert_eq!(*p, c.sample);
+            assert_eq!(c.unit, parse(&c.sample.source).unwrap());
         }
+    }
+
+    #[test]
+    fn ct_chain_refeaturizes_only_changed_regions() {
+        // A long CT chain re-featurizes only what changed: step by
+        // step, the node cache's misses during featurization are at
+        // most the sub-trees and regions this step introduced, and the
+        // assembled features equal the whole-file extractor's.
+        use std::collections::HashSet;
+        use synthattr_features::{FeatureConfig, FeatureExtractor};
+
+        const SEED: u64 = 0x5EED_2025;
+        let pool = YearPool::calibrated(2018, SEED);
+        let transformer = Transformer::new(&pool);
+        let mut gen_rng = Pcg64::seed_from(SEED, &["gpt-gen", "2018", "0"]);
+        let style_idx = pool.sample_index(&mut gen_rng);
+        let seed = solution_in_style(
+            ChallengeId::SumSeries,
+            pool.style(style_idx),
+            SEED,
+            &["gpt-gen-code", "2018", "0"],
+        );
+        let seed_unit = parse(&seed).unwrap();
+
+        let mut fc = FrontendCache::new();
+        let steps = try_run_ct_steps_cached(
+            &transformer,
+            &seed,
+            &seed_unit,
+            50,
+            Origin::ChatGpt,
+            &mut Pcg64::new(42),
+            &mut fc,
+        )
+        .unwrap();
+        assert_eq!(steps.len(), 50);
+
+        let extractor = FeatureExtractor::new(FeatureConfig::default());
+        let mut seen_items: HashSet<u64> = HashSet::new();
+        let mut seen_regions: HashSet<String> = HashSet::new();
+        let mut total_new = 0u64;
+        for (i, step) in steps.iter().enumerate() {
+            // One feature partial per unseen item hash, one layout scan
+            // per unseen region text: all a step *can* introduce.
+            let new_items = step
+                .regions
+                .item_hashes
+                .iter()
+                .filter(|h| seen_items.insert(**h))
+                .count() as u64;
+            let new_regions = step
+                .regions
+                .spans
+                .iter()
+                .map(|sp| step.sample.source[sp.start..sp.end].to_string())
+                .filter(|r| seen_regions.insert(r.clone()))
+                .count() as u64;
+            total_new += new_items + new_regions;
+
+            let before = fc.node_misses();
+            let items: Vec<_> = step
+                .regions
+                .item_hashes
+                .iter()
+                .zip(&step.unit.items)
+                .map(|(h, item)| fc.item_features_for(*h, item))
+                .collect();
+            let layouts: Vec<_> = step
+                .regions
+                .spans
+                .iter()
+                .map(|sp| {
+                    (
+                        sp.sep_before,
+                        fc.layout_for(&step.sample.source[sp.start..sp.end]),
+                    )
+                })
+                .collect();
+            let features = extractor.extract_from_parts(
+                step.sample.source.len(),
+                items.iter().map(|a| a.as_ref()),
+                layouts.iter().map(|(s, l)| (*s, l.as_ref())),
+            );
+            let misses = fc.node_misses() - before;
+
+            assert_eq!(
+                features,
+                extractor.extract_parsed(&step.sample.source, &step.unit),
+                "step {i}"
+            );
+            // The chain driver may already have warmed some sub-trees
+            // while rendering, so featurizing can even be all hits.
+            assert!(
+                misses <= new_items + new_regions,
+                "step {i}: featurizing recomputed {misses} nodes but only {} changed",
+                new_items + new_regions
+            );
+        }
+        // Across 50 chained steps, far fewer distinct nodes exist than
+        // `steps × items-per-step` naive featurization would touch.
+        let touched: u64 = steps
+            .iter()
+            .map(|s| 2 * s.regions.item_hashes.len() as u64)
+            .sum();
+        assert!(
+            total_new * 2 < touched,
+            "chain steps share sub-trees: {total_new} distinct vs {touched} touched"
+        );
     }
 
     #[test]

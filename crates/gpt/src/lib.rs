@@ -42,10 +42,7 @@ pub mod incr;
 pub mod pool;
 pub mod transform;
 
-pub use chain::{
-    run_ct, run_nct, try_run_ct, try_run_ct_steps, try_run_nct, try_run_nct_steps, ChainStep,
-    TransformMode, TransformedSample,
-};
+pub use chain::{run_ct, run_nct, try_run_ct, try_run_nct, TransformMode, TransformedSample};
 pub use error::{GptError, ResponseViolation, ServiceFault};
 pub use pool::YearPool;
 pub use transform::Transformer;

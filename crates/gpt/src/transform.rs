@@ -56,38 +56,6 @@ impl<'a> Transformer<'a> {
         rng: &mut Pcg64,
     ) -> Result<String, GptError> {
         let unit = parse(source).map_err(GptError::Parse)?;
-        self.transform_owned(source, unit, pool_idx, rng)
-    }
-
-    /// Like [`Transformer::transform`], but reuses an already-parsed
-    /// `unit` of `source` instead of re-parsing it. This is the
-    /// single-parse frontend entry point: callers that hold the
-    /// artifact for `source` (the chain drivers, the fault service)
-    /// pay one AST clone here instead of a full lex+parse.
-    ///
-    /// `source` must be the exact text `unit` was parsed from — the
-    /// layout detector reads the raw text while the rewrites walk the
-    /// AST, and the two must agree for results to match `transform`.
-    pub fn transform_parsed(
-        &self,
-        source: &str,
-        unit: &TranslationUnit,
-        pool_idx: usize,
-        rng: &mut Pcg64,
-    ) -> Result<String, GptError> {
-        self.transform_owned(source, unit.clone(), pool_idx, rng)
-    }
-
-    /// The rewrite body, consuming its working AST (freshly parsed in
-    /// [`Transformer::transform`], cloned from the caller's shared unit
-    /// in [`Transformer::transform_parsed`]).
-    fn transform_owned(
-        &self,
-        source: &str,
-        unit: TranslationUnit,
-        pool_idx: usize,
-        rng: &mut Pcg64,
-    ) -> Result<String, GptError> {
         let src_render = detect_render_style(source);
         let (unit, style) = self.rewrite_styled(&src_render, unit, pool_idx, rng);
         let out = render(&unit, &style);
@@ -97,11 +65,11 @@ impl<'a> Transformer<'a> {
     }
 
     /// The content-style rewrites plus the layout blend, factored out of
-    /// [`Transformer::transform_owned`] so the incremental frontend
+    /// [`Transformer::transform`] so the incremental frontend
     /// ([`crate::incr`]) can run the identical rewrite pass while
     /// supplying a cached source-layout detection and rendering from
     /// cached per-item pieces. Consumes exactly the same RNG stream as
-    /// the rewrite section of `transform_owned` — every `next_bool`
+    /// the rewrite section of `transform` — every `next_bool`
     /// gate fires in the same order whether or not the caller's layout
     /// detection and render were cached.
     pub(crate) fn rewrite_styled(

@@ -10,9 +10,9 @@
 //!
 //! A 64-bit structural hash is trusted without a full `Eq` check on
 //! hot paths (verifying would re-walk the tree and erase the win); the
-//! A/B suites in `synthattr-core` prove bit-identical outputs over the
-//! full seed × setting × fault-rate grid, and debug builds re-verify
-//! the products themselves via the transformer's semantic gate.
+//! root package's golden frontend grid pins the pipeline's outputs over
+//! the seed × setting × fault-rate grid, and debug builds re-verify
+//! every cached product against a fresh computation.
 
 use crate::ast::{Item, TranslationUnit};
 use std::hash::{Hash, Hasher};

@@ -18,12 +18,20 @@ use crate::error::ParseError;
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 
+/// Deepest AST nesting the parser accepts: a statement inside a block,
+/// a template argument, and a sub-expression each sit one level below
+/// the node that holds them. Every pass over the tree downstream
+/// (renderer, visitors, analyzer, CFG, dataflow, features) recurses,
+/// so this one bound keeps all of them inside a 2 MiB worker stack
+/// whatever the input. Hand-written code stays far below it.
+pub const MAX_NESTING: usize = 256;
+
 /// Parses a C++ translation unit.
 ///
 /// # Errors
 ///
 /// Returns the first lexing or parsing error encountered, with its
-/// source line.
+/// source line. Nesting deeper than [`MAX_NESTING`] is an error too.
 ///
 /// # Example
 ///
@@ -66,6 +74,11 @@ struct Parser {
     /// Names introduced by `typedef` / `using x = ...`, plus the
     /// standard-library names treated as types.
     type_names: Vec<String>,
+    /// How many nodes enclose the node being parsed.
+    depth: usize,
+    /// The deepest level any node of the current operand chain sits at
+    /// (see [`Parser::chain`]).
+    deepest: usize,
 }
 
 impl Parser {
@@ -80,6 +93,8 @@ impl Parser {
                 "map".into(),
                 "set".into(),
             ],
+            depth: 0,
+            deepest: 0,
         }
     }
 
@@ -177,6 +192,51 @@ impl Parser {
             }
             other => Err(self.err(format!("expected `>`, found `{other}`"))),
         }
+    }
+
+    // -- nesting ------------------------------------------------------------
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Parses the children of one node with `f`, one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Parses an operand chain with `f`: a first operand that later
+    /// operators wrap in new nodes (`a + b + c`, `a[i].f()`, `a = b`,
+    /// `c ? x : y`). Each [`Parser::wrap`] pushes everything the chain
+    /// has parsed one level deeper, so the chain tracks the deepest
+    /// level it reached rather than the level it started at.
+    fn chain<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
+        let out = f(self);
+        self.deepest = self.deepest.max(outer);
+        out
+    }
+
+    /// Wraps the operand chain parsed so far in one more node.
+    fn wrap(&mut self) -> Result<(), ParseError> {
+        if self.deepest == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.deepest += 1;
+        Ok(())
     }
 
     // -- items --------------------------------------------------------------
@@ -286,7 +346,12 @@ impl Parser {
         false
     }
 
+    /// Parses a type, one level below the node that holds it.
     fn parse_type(&mut self) -> Result<Type, ParseError> {
+        self.nested(Self::qualified_type)
+    }
+
+    fn qualified_type(&mut self) -> Result<Type, ParseError> {
         let mut is_const = false;
         if self.eat(&TokenKind::KwConst) {
             is_const = true;
@@ -433,10 +498,15 @@ impl Parser {
         }
     }
 
-    /// Parses a statement; when the next statement is a single
-    /// (non-block) statement used as a control-flow body, callers wrap
-    /// it in a [`Block`] via [`Parser::body`].
+    /// Parses a statement, one level below the node that holds it;
+    /// when the next statement is a single (non-block) statement used
+    /// as a control-flow body, callers wrap it in a [`Block`] via
+    /// [`Parser::body`].
     fn statement(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::statement_here)
+    }
+
+    fn statement_here(&mut self) -> Result<Stmt, ParseError> {
         use TokenKind::*;
         match self.peek().clone() {
             LBrace => Ok(Stmt::Block(self.block()?)),
@@ -518,7 +588,7 @@ impl Parser {
         let else_branch = if self.eat(&TokenKind::KwElse) {
             if self.peek() == &TokenKind::KwIf {
                 // `else if` chain: represent as a block with one `If`.
-                Some(Block::new(vec![self.if_statement()?]))
+                Some(Block::new(vec![self.statement()?]))
             } else {
                 Some(self.body()?)
             }
@@ -648,39 +718,45 @@ impl Parser {
     }
 
     fn assignment(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.ternary()?;
-        let op = match self.peek() {
-            TokenKind::Assign => Some(AssignOp::Assign),
-            TokenKind::PlusAssign => Some(AssignOp::Add),
-            TokenKind::MinusAssign => Some(AssignOp::Sub),
-            TokenKind::StarAssign => Some(AssignOp::Mul),
-            TokenKind::SlashAssign => Some(AssignOp::Div),
-            TokenKind::PercentAssign => Some(AssignOp::Mod),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.advance();
-            let rhs = self.assignment()?;
-            Ok(Expr::assign(op, lhs, rhs))
-        } else {
-            Ok(lhs)
-        }
+        self.chain(|p| {
+            let lhs = p.ternary()?;
+            let op = match p.peek() {
+                TokenKind::Assign => Some(AssignOp::Assign),
+                TokenKind::PlusAssign => Some(AssignOp::Add),
+                TokenKind::MinusAssign => Some(AssignOp::Sub),
+                TokenKind::StarAssign => Some(AssignOp::Mul),
+                TokenKind::SlashAssign => Some(AssignOp::Div),
+                TokenKind::PercentAssign => Some(AssignOp::Mod),
+                _ => None,
+            };
+            if let Some(op) = op {
+                p.advance();
+                p.wrap()?;
+                let rhs = p.nested(Self::assignment)?;
+                Ok(Expr::assign(op, lhs, rhs))
+            } else {
+                Ok(lhs)
+            }
+        })
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.binary(1)?;
-        if self.eat(&TokenKind::Question) {
-            let then_expr = self.expression()?;
-            self.expect(&TokenKind::Colon)?;
-            let else_expr = self.assignment()?;
-            Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then_expr: Box::new(then_expr),
-                else_expr: Box::new(else_expr),
-            })
-        } else {
-            Ok(cond)
-        }
+        self.chain(|p| {
+            let cond = p.binary(1)?;
+            if p.eat(&TokenKind::Question) {
+                p.wrap()?;
+                let then_expr = p.nested(Self::expression)?;
+                p.expect(&TokenKind::Colon)?;
+                let else_expr = p.nested(Self::assignment)?;
+                Ok(Expr::Ternary {
+                    cond: Box::new(cond),
+                    then_expr: Box::new(then_expr),
+                    else_expr: Box::new(else_expr),
+                })
+            } else {
+                Ok(cond)
+            }
+        })
     }
 
     fn binary_op(&mut self) -> Option<BinaryOp> {
@@ -709,17 +785,20 @@ impl Parser {
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
-        while let Some(op) = self.binary_op() {
-            let prec = op.precedence();
-            if prec < min_prec {
-                break;
+        self.chain(|p| {
+            let mut lhs = p.unary()?;
+            while let Some(op) = p.binary_op() {
+                let prec = op.precedence();
+                if prec < min_prec {
+                    break;
+                }
+                p.advance();
+                p.wrap()?;
+                let rhs = p.nested(|p| p.binary(prec + 1))?;
+                lhs = Expr::bin(op, lhs, rhs);
             }
-            self.advance();
-            let rhs = self.binary(prec + 1)?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
+            Ok(lhs)
+        })
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
@@ -736,7 +815,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.advance();
-            let expr = self.unary()?;
+            let expr = self.nested(Self::unary)?;
             return Ok(Expr::Unary {
                 op,
                 expr: Box::new(expr),
@@ -746,67 +825,61 @@ impl Parser {
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.primary()?;
-        loop {
-            match self.peek() {
-                TokenKind::LParen => {
-                    self.advance();
-                    let mut args = Vec::new();
-                    if self.peek() != &TokenKind::RParen {
-                        loop {
-                            args.push(self.assignment()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
+        self.chain(|p| {
+            let mut expr = p.primary()?;
+            loop {
+                match p.peek() {
+                    TokenKind::LParen => {
+                        p.advance();
+                        p.wrap()?;
+                        let mut args = Vec::new();
+                        if p.peek() != &TokenKind::RParen {
+                            loop {
+                                args.push(p.nested(Self::assignment)?);
+                                if !p.eat(&TokenKind::Comma) {
+                                    break;
+                                }
                             }
                         }
+                        p.expect(&TokenKind::RParen)?;
+                        expr = Expr::Call {
+                            callee: Box::new(expr),
+                            args,
+                        };
                     }
-                    self.expect(&TokenKind::RParen)?;
-                    expr = Expr::Call {
-                        callee: Box::new(expr),
-                        args,
-                    };
+                    TokenKind::LBracket => {
+                        p.advance();
+                        p.wrap()?;
+                        let index = p.nested(Self::expression)?;
+                        p.expect(&TokenKind::RBracket)?;
+                        expr = Expr::index(expr, index);
+                    }
+                    TokenKind::Dot | TokenKind::Arrow => {
+                        let arrow = p.advance() == TokenKind::Arrow;
+                        p.wrap()?;
+                        let member = p.expect_ident()?;
+                        expr = Expr::Member {
+                            base: Box::new(expr),
+                            member,
+                            arrow,
+                        };
+                    }
+                    TokenKind::PlusPlus | TokenKind::MinusMinus => {
+                        let op = if p.advance() == TokenKind::PlusPlus {
+                            UnaryOp::PostInc
+                        } else {
+                            UnaryOp::PostDec
+                        };
+                        p.wrap()?;
+                        expr = Expr::Unary {
+                            op,
+                            expr: Box::new(expr),
+                        };
+                    }
+                    _ => return Ok(expr),
                 }
-                TokenKind::LBracket => {
-                    self.advance();
-                    let index = self.expression()?;
-                    self.expect(&TokenKind::RBracket)?;
-                    expr = Expr::index(expr, index);
-                }
-                TokenKind::Dot => {
-                    self.advance();
-                    let member = self.expect_ident()?;
-                    expr = Expr::Member {
-                        base: Box::new(expr),
-                        member,
-                        arrow: false,
-                    };
-                }
-                TokenKind::Arrow => {
-                    self.advance();
-                    let member = self.expect_ident()?;
-                    expr = Expr::Member {
-                        base: Box::new(expr),
-                        member,
-                        arrow: true,
-                    };
-                }
-                TokenKind::PlusPlus => {
-                    self.advance();
-                    expr = Expr::Unary {
-                        op: UnaryOp::PostInc,
-                        expr: Box::new(expr),
-                    };
-                }
-                TokenKind::MinusMinus => {
-                    self.advance();
-                    expr = Expr::Unary {
-                        op: UnaryOp::PostDec,
-                        expr: Box::new(expr),
-                    };
-                }
-                _ => return Ok(expr),
             }
-        }
+        })
     }
 
     /// Whether the current token can begin an operand (used to
@@ -864,7 +937,7 @@ impl Parser {
                 let ty = self.parse_type()?;
                 self.expect_close_angle()?;
                 self.expect(&LParen)?;
-                let expr = self.expression()?;
+                let expr = self.nested(Self::expression)?;
                 self.expect(&RParen)?;
                 Ok(Expr::StaticCast {
                     ty,
@@ -874,15 +947,17 @@ impl Parser {
             KwSizeof => {
                 self.advance();
                 self.expect(&LParen)?;
-                let inner = if self.is_type_start() {
-                    let ty = self.parse_type()?;
-                    Expr::Cast {
-                        ty,
-                        expr: Box::new(Expr::Int(0)),
+                let inner = self.nested(|p| {
+                    if p.is_type_start() {
+                        let ty = p.parse_type()?;
+                        Ok(Expr::Cast {
+                            ty,
+                            expr: Box::new(Expr::Int(0)),
+                        })
+                    } else {
+                        p.expression()
                     }
-                } else {
-                    self.expression()?
-                };
+                })?;
                 self.expect(&RParen)?;
                 Ok(Expr::call("sizeof", vec![inner]))
             }
@@ -908,7 +983,7 @@ impl Parser {
                 let mut elems = Vec::new();
                 if self.peek() != &RBrace {
                     loop {
-                        elems.push(self.assignment()?);
+                        elems.push(self.nested(Self::assignment)?);
                         if !self.eat(&Comma) {
                             break;
                         }
@@ -927,7 +1002,7 @@ impl Parser {
                             let after_rparen = self.pos;
                             self.advance(); // `)`
                             if self.starts_operand() {
-                                let expr = self.unary()?;
+                                let expr = self.nested(Self::unary)?;
                                 return Ok(Expr::Cast {
                                     ty,
                                     expr: Box::new(expr),
@@ -938,7 +1013,7 @@ impl Parser {
                     }
                     self.pos = checkpoint;
                 }
-                let inner = self.expression()?;
+                let inner = self.nested(Self::expression)?;
                 self.expect(&RParen)?;
                 Ok(Expr::Paren(Box::new(inner)))
             }

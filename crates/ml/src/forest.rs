@@ -75,9 +75,8 @@ impl RandomForest {
     /// Trains through the naive reference splitter
     /// ([`crate::tree::reference`]) — identical seed derivation and
     /// bootstrap sampling, so the result must be bit-identical to
-    /// [`Self::fit`]. Exists for the golden-equivalence tests and the
-    /// `forest` benchmark's `train_reference` baseline.
-    #[cfg(any(test, feature = "reference-splitter"))]
+    /// [`Self::fit`]. Exists for the golden-equivalence tests.
+    #[cfg(test)]
     pub fn fit_reference(data: &Dataset, config: &ForestConfig, rng: &mut Pcg64) -> Self {
         Self::fit_with(data, config, rng, crate::tree::reference::fit_on)
     }

@@ -505,9 +505,8 @@ impl DecisionTree {
 /// candidate split position — the O(n·k·C) allocation pattern the
 /// fast path eliminates. Training through it must produce
 /// **bit-identical** trees to [`DecisionTree::fit_on`]; the golden
-/// equivalence tests and the `forest` benchmark's `train_reference`
-/// target both rely on that.
-#[cfg(any(test, feature = "reference-splitter"))]
+/// equivalence tests rely on that.
+#[cfg(test)]
 pub mod reference {
     use super::*;
 

@@ -5,25 +5,17 @@
 # per benchmark into BENCH_forest.json (the harness prints JSON on
 # stdout, human progress on stderr — see DESIGN.md "Benchmarking").
 #
-# The forest target benches both the optimised trainer (`train/50`)
-# and the retained naive splitter (`train_reference/50`) in the same
-# run, so the summary printed at the end is an apples-to-apples
-# fast-path speedup on this machine.
-#
 # The `faults` target sweeps the chaos proxy at 0/5/20% fault rates
 # against the bare simulator and lands in BENCH_faults.json, so the
 # retry/validation overhead has its own trajectory file.
 #
-# The `pipeline` target races all three frontend generations in one
-# run: the node-level incremental frontend vs. the retained reference
-# re-parse frontend on the frontend-heavy build (fault-free and
-# chaos@20%), and incremental vs. the retained whole-file artifact
-# cache on the chain-heavy build (`cached/chain` / `wholefile/chain`,
-# both under the recoverable 20% fault profile). Lands in
-# BENCH_pipeline.json; the summary printed at the end gives the
-# cached-vs-reference and chain speedups on this machine. Its JSON
-# lines carry `allocs_per_iter`/`alloc_bytes_per_iter` from the bench
-# binary's counting allocator.
+# The `pipeline` target times whole year-pipeline builds through the
+# node-cached frontend: a frontend-heavy build fault-free and under
+# chaos@20% (`cached/plain`, `cached/chaos20`), and a chain-heavy
+# build under the recoverable 20% fault profile (`cached/chain`).
+# Lands in BENCH_pipeline.json; its JSON lines carry
+# `allocs_per_iter`/`alloc_bytes_per_iter` from the bench binary's
+# counting allocator.
 #
 # The `serve` target spins up a real `synthattr-serve` server on a
 # loopback socket and drives it with seeded keep-alive clients: serial
@@ -97,7 +89,7 @@ done
 echo "== bench: faults (chaos proxy overhead) ==" >&2
 cargo bench --offline -p synthattr-bench --bench faults | grep '^{' > "$FAULTS_OUT"
 
-echo "== bench: pipeline (single-parse frontend vs reference) ==" >&2
+echo "== bench: pipeline (whole builds through the cached frontend) ==" >&2
 # End-to-end pipeline builds run ~100 ms/iteration, so the harness
 # defaults (300 ms warmup / 2 s measure) yield too few samples for
 # stable medians; give this target a larger budget unless the caller
@@ -111,19 +103,6 @@ cargo bench --offline -p synthattr-bench --bench serve | grep '^{' > "$SERVE_OUT
 
 scale_sweep
 
-median_of() {
-  grep "\"group\":\"forest\"" "$OUT" | grep "\"bench\":\"$1\"" \
-    | sed -E 's/.*"median_ns":([0-9.]+).*/\1/' | head -n 1
-}
-
-fast=$(median_of "train/50")
-naive=$(median_of "train_reference/50")
-if [[ -n "$fast" && -n "$naive" ]]; then
-  awk -v fast="$fast" -v naive="$naive" 'BEGIN {
-    printf "forest train/50: optimised %.2f ms vs reference %.2f ms -> %.2fx speedup\n",
-      fast / 1e6, naive / 1e6, naive / fast
-  }' >&2
-fi
 faults_median() {
   grep "\"group\":\"faults\"" "$FAULTS_OUT" | grep "\"bench\":\"$1\"" \
     | sed -E 's/.*"median_ns":([0-9.]+).*/\1/' | head -n 1
@@ -137,31 +116,6 @@ if [[ -n "$bare" && -n "$r20" ]]; then
       bare / 1e6, r20 / 1e6, r20 / bare
   }' >&2
 fi
-pipeline_median() {
-  grep "\"group\":\"pipeline\"" "$PIPELINE_OUT" | grep "\"bench\":\"$1\"" \
-    | sed -E 's/.*"median_ns":([0-9.]+).*/\1/' | head -n 1
-}
-
-for pair in plain chaos20; do
-  cached=$(pipeline_median "cached/$pair")
-  reference=$(pipeline_median "reference/$pair")
-  if [[ -n "$cached" && -n "$reference" ]]; then
-    awk -v cached="$cached" -v reference="$reference" -v pair="$pair" 'BEGIN {
-      printf "pipeline %s: cached %.2f ms vs reference %.2f ms -> %.2fx speedup\n",
-        pair, cached / 1e6, reference / 1e6, reference / cached
-    }' >&2
-  fi
-done
-
-incr=$(pipeline_median "cached/chain")
-whole=$(pipeline_median "wholefile/chain")
-if [[ -n "$incr" && -n "$whole" ]]; then
-  awk -v incr="$incr" -v whole="$whole" 'BEGIN {
-    printf "pipeline chain: incremental %.2f ms vs wholefile %.2f ms -> %.2fx speedup\n",
-      incr / 1e6, whole / 1e6, whole / incr
-  }' >&2
-fi
-
 serve_field() {
   grep "\"bench\":\"$1\"" "$SERVE_OUT" | sed -E "s/.*\"$2\":([0-9.]+).*/\1/" | head -n 1
 }

@@ -13,12 +13,6 @@
 #                                     #   + corpus lint (all three years)
 #   scripts/verify.sh --chaos         # tier-1 + the fault-injection
 #                                     #   suites + the chaos_drill demo
-#   scripts/verify.sh --frontend      # tier-1 + the single-parse
-#                                     #   frontend A/B + cache suites
-#                                     #   with visible output
-#   scripts/verify.sh --increment     # tier-1 + the node-level
-#                                     #   incremental-vs-reference A/B
-#                                     #   suite with visible output
 #   scripts/verify.sh --serve         # tier-1 + the serving stack:
 #                                     #   serve unit tests, the TCP
 #                                     #   e2e byte-identity suite, and
@@ -64,25 +58,6 @@
 # resilience accounting for a recoverable and a budget-exhausted
 # build (DESIGN.md §9). Both suites also run under plain tier-1;
 # the flag exists to exercise them in isolation with visible output.
-#
-# --frontend re-runs the single-parse frontend suites by name: the
-# cached-vs-reference A/B grid in synthattr-core (9 pools × NCT/CT ×
-# fault rates 0/5/20%, DESIGN.md §10) and the end-to-end cache
-# property suite, plus a build of synthattr-core with the
-# reference-frontend feature enabled so the retained baseline cannot
-# bit-rot. Both suites also run under plain tier-1; the flag exists
-# to exercise them in isolation with visible output.
-#
-# --increment re-runs the node-level incremental frontend suites by
-# name: the incremental-vs-wholefile A/B grid in synthattr-core (9
-# pools x NCT/CT x fault rates 0/5/20% — features, diagnostics,
-# fingerprints, and tables must be bit-identical, and node counters
-# worker-invariant; DESIGN.md §12), the features crate's
-# parts-vs-whole extraction property suite, and a test build of
-# synthattr-core with the reference-increment feature enabled so the
-# retained whole-file chain path cannot bit-rot. The grid also runs
-# under plain tier-1; the flag exists to exercise it in isolation
-# with visible output.
 #
 # --dataflow re-runs the dataflow subsystem by name with visible
 # output: the synthattr-analysis unit tests (CFG construction, the
@@ -134,8 +109,6 @@ cd "$(dirname "$0")/.."
 BENCH_SMOKE=0
 LINT=0
 CHAOS=0
-FRONTEND=0
-INCREMENT=0
 SERVE=0
 SERVE_HARDENING=0
 DATAFLOW=0
@@ -146,8 +119,6 @@ for arg in "$@"; do
     --bench-smoke) BENCH_SMOKE=1 ;;
     --lint) LINT=1 ;;
     --chaos) CHAOS=1 ;;
-    --frontend) FRONTEND=1 ;;
-    --increment) INCREMENT=1 ;;
     --serve) SERVE=1 ;;
     --serve-hardening) SERVE_HARDENING=1 ;;
     --dataflow) DATAFLOW=1 ;;
@@ -198,24 +169,6 @@ if [[ "$CHAOS" == "1" ]]; then
   cargo test --offline --test chaos_pipeline
   echo "== chaos: drill (resilience accounting demo) ==" >&2
   cargo run --release --offline --example chaos_drill
-fi
-
-if [[ "$FRONTEND" == "1" ]]; then
-  echo "== frontend: cached vs reference A/B grid (9 pools x 0/5/20%) ==" >&2
-  cargo test --offline -p synthattr-core --lib frontend_ab
-  echo "== frontend: artifact cache property suite ==" >&2
-  cargo test --offline --test frontend_cache
-  echo "== frontend: reference-frontend feature build ==" >&2
-  cargo test -q --offline -p synthattr-core --features reference-frontend
-fi
-
-if [[ "$INCREMENT" == "1" ]]; then
-  echo "== increment: incremental vs wholefile A/B grid (9 pools x NCT/CT x 0/5/20%) ==" >&2
-  cargo test --offline -p synthattr-core --lib increment_ab
-  echo "== increment: parts-vs-whole extraction property suite ==" >&2
-  cargo test --offline -p synthattr-features --lib incr
-  echo "== increment: reference-increment feature build ==" >&2
-  cargo test -q --offline -p synthattr-core --features reference-increment
 fi
 
 if [[ "$DATAFLOW" == "1" ]]; then

@@ -1,13 +1,12 @@
-//! End-to-end properties of the single-parse artifact frontend
-//! (ISSUE 5 acceptance).
+//! End-to-end properties of the single-parse artifact frontend.
 //!
-//! The crate-level A/B suite (`crates/core/src/frontend_ab.rs`) proves
-//! the cached frontend is bit-identical to the reference re-parse
-//! frontend; this suite closes the loop on the cache's own contract:
+//! The golden grid (`tests/frontend_golden.rs`) pins what the cached
+//! frontend produces; this suite checks the cache's own contract:
 //!
-//! 1. hit/miss totals — not just pipeline outputs — are invariant
-//!    under the worker count, because caches are sharded per dispatch
-//!    unit and merged in input order;
+//! 1. artifact and node hit/miss totals — not just pipeline outputs —
+//!    are invariant under the worker count at every fault rate,
+//!    because caches are sharded per dispatch unit and merged in input
+//!    order;
 //! 2. identical source texts share one [`Artifact`] (pointer
 //!    equality), so every frontend product is computed at most once
 //!    per distinct text;
@@ -20,32 +19,45 @@ use synthattr::core::config::ExperimentConfig;
 use synthattr::core::pipeline::YearPipeline;
 use synthattr::faults::FaultProfile;
 
-/// Hit/miss totals and every cached product are a pure function of the
-/// inputs: worker counts 1, 2, and 8 must agree exactly.
+/// Hit/miss totals (artifact and node) and every cached product are a
+/// pure function of the inputs: worker counts 1, 2, and 8 must agree
+/// exactly, under a brutal profile and at recoverable rates 0, 5 and
+/// 20%.
 #[test]
 fn frontend_counters_are_worker_invariant() {
-    let builds: Vec<YearPipeline> = [1usize, 2, 8]
-        .into_iter()
-        .map(|w| {
-            let mut cfg = ExperimentConfig::smoke().with_faults(FaultProfile::brutal(11));
-            cfg.workers = Some(w);
-            YearPipeline::build(2019, &cfg)
-        })
-        .collect();
-    let baseline = &builds[0];
-    assert!(baseline.frontend.cache_misses > 0);
-    for other in &builds[1..] {
-        // FrontendStats equality compares the counters and ignores
-        // wall-clock, which legitimately varies with the worker count.
-        assert_eq!(baseline.frontend, other.frontend);
-        assert_eq!(baseline.diagnostics, other.diagnostics);
-        assert_eq!(baseline.resilience, other.resilience);
-        assert_eq!(baseline.human_features, other.human_features);
-        assert_eq!(baseline.transformed.len(), other.transformed.len());
-        for (a, b) in baseline.transformed.iter().zip(&other.transformed) {
-            assert_eq!(a.sample.source, b.sample.source);
-            assert_eq!(a.oracle_label, b.oracle_label);
-            assert_eq!(a.outcome, b.outcome);
+    let profiles = [
+        Some(FaultProfile::brutal(11)),
+        None,
+        Some(FaultProfile::recoverable(11, 0.05)),
+        Some(FaultProfile::recoverable(11, 0.20)),
+    ];
+    for profile in profiles {
+        let ctx = format!("{profile:?}");
+        let builds: Vec<YearPipeline> = [1usize, 2, 8]
+            .into_iter()
+            .map(|w| {
+                let mut cfg = ExperimentConfig::smoke();
+                cfg.faults = profile.clone();
+                cfg.workers = Some(w);
+                YearPipeline::build(2019, &cfg)
+            })
+            .collect();
+        let baseline = &builds[0];
+        assert!(baseline.frontend.cache_misses > 0, "{ctx}");
+        assert!(baseline.frontend.node_hits > 0, "{ctx}");
+        for other in &builds[1..] {
+            // FrontendStats equality compares the counters and ignores
+            // wall-clock, which legitimately varies with the worker count.
+            assert_eq!(baseline.frontend, other.frontend, "{ctx}");
+            assert_eq!(baseline.diagnostics, other.diagnostics, "{ctx}");
+            assert_eq!(baseline.resilience, other.resilience, "{ctx}");
+            assert_eq!(baseline.human_features, other.human_features, "{ctx}");
+            assert_eq!(baseline.transformed.len(), other.transformed.len(), "{ctx}");
+            for (a, b) in baseline.transformed.iter().zip(&other.transformed) {
+                assert_eq!(a.sample.source, b.sample.source, "{ctx}");
+                assert_eq!(a.oracle_label, b.oracle_label, "{ctx}");
+                assert_eq!(a.outcome, b.outcome, "{ctx}");
+            }
         }
     }
 }

@@ -12,7 +12,8 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use synthattr::faults::{HostileKind, ScriptEnd, TrafficProfile};
@@ -174,6 +175,69 @@ fn legit_attribute_p95_stays_bounded_under_64_slow_loris() {
 
     let health = healthz_text(addr);
     assert!(health.contains("\"connections_opened\":"), "body: {health}");
+    server.shutdown();
+}
+
+/// Deeply nested source used to overflow a worker's stack, which
+/// aborts the whole process. Past the parser's nesting budget it is an
+/// ordinary parse error: each such POST gets a 422 while a legitimate
+/// client on another connection keeps getting 200s.
+#[test]
+fn deep_nesting_posts_get_422_while_legit_clients_keep_getting_200() {
+    let policy = ConnPolicy::default();
+    let timeout = policy.client_timeout();
+    let server = spawn_with(policy, true);
+    let addr = server.addr();
+    let target = format!("/attribute?year={YEAR}");
+    let depth = 20_000;
+    let bodies = [
+        format!(
+            "int main() {{ int x = {}1{}; return x; }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        ),
+        format!(
+            "int main() {{ {} return 0; {} }}",
+            "{".repeat(depth),
+            "}".repeat(depth)
+        ),
+        format!(
+            "int main() {{ int x = 1{}; return x; }}",
+            "+1".repeat(depth)
+        ),
+    ];
+
+    let hostile_done = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let legit = scope.spawn(|| {
+            let mut client = Client::connect_with_timeout(addr, timeout).expect("connect");
+            start.wait();
+            let mut served = 0usize;
+            // Keep asking until the deep bodies are through, and a few
+            // times after.
+            while !hostile_done.load(Ordering::SeqCst) || served < 5 {
+                let resp = client
+                    .request("POST", &target, &[], SOURCE.as_bytes())
+                    .unwrap_or_else(|e| panic!("legit request {served} failed: {e}"));
+                assert_eq!(resp.status, 200, "body: {}", resp.text());
+                served += 1;
+            }
+        });
+        let mut hostile = Client::connect_with_timeout(addr, timeout).expect("connect");
+        start.wait();
+        for _ in 0..3 {
+            for body in &bodies {
+                let resp = hostile
+                    .request("POST", &target, &[], body.as_bytes())
+                    .expect("a deep body gets a response");
+                assert_eq!(resp.status, 422, "body: {}", resp.text());
+                assert!(resp.text().contains("nesting"), "body: {}", resp.text());
+            }
+        }
+        hostile_done.store(true, Ordering::SeqCst);
+        legit.join().expect("legit client");
+    });
     server.shutdown();
 }
 
