@@ -11,7 +11,8 @@ use synthattr_lang::{parse, ParseError};
 /// Which feature families to extract, and hash-bucket sizes.
 ///
 /// The defaults match the configuration used by every experiment in
-/// the reproduction; the ablation benches vary the family switches.
+/// the reproduction; `repro ablation-features` varies the family
+/// switches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureConfig {
     /// Extract the lexical family.

@@ -36,10 +36,12 @@
 //! The header checksum plus an exact file-length check at
 //! [`ColumnStore::open`] catch the two realistic corruption modes for
 //! a local artifact — truncated writes and stale/garbled headers —
-//! without paying for per-chunk hashing on the hot path. Values are
-//! validated on *read* (finite features, in-range labels), so a
-//! corrupt body surfaces as a typed error instead of a downstream
-//! assertion panic.
+//! without paying for per-chunk hashing on the hot path. The checksum
+//! does not stop a forged header (anyone can recompute it), so the
+//! length check runs in checked arithmetic: once it passes, every
+//! read is bounded by the file size. Values are validated on *read*
+//! (finite features, in-range labels), so a corrupt body surfaces as
+//! a typed error instead of a downstream assertion panic.
 
 use crate::dataset::Dataset;
 use std::fmt;
@@ -65,7 +67,8 @@ pub enum ColStoreError {
     /// A row failed validation (non-finite feature, out-of-range
     /// label, wrong dimension) — on write or on read-back.
     BadRow { row: u64, message: String },
-    /// A structurally invalid header field (zero dim or chunk size).
+    /// A structurally invalid header field (zero dim or chunk size, or
+    /// a row count whose byte length overflows).
     BadHeader(&'static str),
 }
 
@@ -336,7 +339,9 @@ impl ColumnStore {
             chunk_rows,
             n_rows,
         };
-        let expected = store.expected_len();
+        let expected = store
+            .expected_len()
+            .ok_or(ColStoreError::BadHeader("n_rows x row size overflows u64"))?;
         let actual = file.metadata()?.len();
         if actual != expected {
             return Err(ColStoreError::BadLength { expected, actual });
@@ -348,8 +353,12 @@ impl ColumnStore {
         rows as u64 * (8 * self.dim as u64 + 4)
     }
 
-    fn expected_len(&self) -> u64 {
-        HEADER_LEN + self.chunk_byte_len(self.n_rows as usize)
+    /// Header plus `n_rows` rows, or `None` if a forged header makes
+    /// that overflow.
+    fn expected_len(&self) -> Option<u64> {
+        self.n_rows
+            .checked_mul(8 * self.dim as u64 + 4)
+            .and_then(|body| body.checked_add(HEADER_LEN))
     }
 
     /// Total rows.
@@ -407,7 +416,7 @@ impl ColumnStore {
         for chunk in first_chunk..=last_chunk {
             let chunk_start = chunk * self.chunk_rows;
             let chunk_len = self.chunk_rows.min(n - chunk_start);
-            let offset = HEADER_LEN + chunk as u64 * self.chunk_byte_len(self.chunk_rows);
+            let offset = HEADER_LEN + self.chunk_byte_len(chunk_start);
             file.seek(SeekFrom::Start(offset))?;
             buf.resize(self.chunk_byte_len(chunk_len) as usize, 0);
             file.read_exact(&mut buf)?;
@@ -639,6 +648,24 @@ mod tests {
             Err(ColStoreError::BadMagic)
         ));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn overflowing_header_is_rejected_without_panicking() {
+        // A forged 40-byte file with a valid checksum whose declared
+        // length, 40 + 2^62 x 12 bytes, overflows u64: open must
+        // return an error, never panic or accept 2^62 rows.
+        let path = tmp_path("overflow");
+        let prefix = header_prefix(1, 1, 1, 1 << 62);
+        let mut bytes = prefix.to_vec();
+        bytes.extend_from_slice(&fnv1a(&prefix).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = ColumnStore::open(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(opened, Err(ColStoreError::BadHeader(_))),
+            "{opened:?}"
+        );
     }
 
     #[test]

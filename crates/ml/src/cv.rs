@@ -3,10 +3,10 @@
 //! The paper evaluates with one fold per GCJ challenge (8 folds of 8
 //! challenges): train on 7 challenges' code, test on the held-out
 //! challenge. [`group_folds`] implements that protocol;
-//! [`stratified_folds`] is the classic per-class-balanced k-fold used
-//! by the ablation benches; [`ClassReservoir`] builds stratified
-//! holdouts from *streams* whose length is unknown up front, so fold
-//! construction works at corpus scales that never fit in RAM.
+//! [`stratified_folds`] is the classic per-class-balanced k-fold;
+//! [`ClassReservoir`] builds stratified holdouts from *streams* whose
+//! length is unknown up front, so fold construction works at corpus
+//! scales that never fit in RAM.
 
 use synthattr_util::Pcg64;
 

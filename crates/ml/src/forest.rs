@@ -18,12 +18,11 @@ pub struct ForestConfig {
     /// Bootstrap sample size as a fraction of the training set
     /// (denominator 100; 100 = classic bagging).
     pub bootstrap_pct: u8,
-    /// Train trees on worker threads.
-    pub parallel: bool,
-    /// Worker-count override for parallel training; `None` defers to
+    /// Worker-count override for training; `None` defers to
     /// `SYNTHATTR_WORKERS` / available parallelism (see
-    /// [`synthattr_util::pool::resolve_workers`]). Never affects
-    /// results, only wall-clock time.
+    /// [`synthattr_util::pool::resolve_workers`]), and `Some(1)` trains
+    /// serially on the calling thread. Never affects results, only
+    /// wall-clock time.
     pub workers: Option<usize>,
 }
 
@@ -33,7 +32,6 @@ impl Default for ForestConfig {
             n_trees: 100,
             tree: TreeConfig::default(),
             bootstrap_pct: 100,
-            parallel: true,
             workers: None,
         }
     }
@@ -106,11 +104,8 @@ impl RandomForest {
             fit_on(data, &indices, &config.tree, &mut tree_rng)
         };
 
-        let trees: Vec<DecisionTree> = if config.parallel && config.n_trees > 1 {
-            pool::parallel_map_workers(pool::resolve_workers(config.workers), seeds, train_one)
-        } else {
-            seeds.into_iter().map(train_one).collect()
-        };
+        let trees =
+            pool::parallel_map_workers(pool::resolve_workers(config.workers), seeds, train_one);
 
         RandomForest {
             trees,
@@ -137,10 +132,10 @@ impl RandomForest {
     /// dispatch, and shard assignment is pure arithmetic, so the
     /// trained forest depends only on `(source rows, n_shards,
     /// config, seed)`: never on the worker count. With `n_shards ==
-    /// 1` the shard is the whole source and every tree's bootstrap
-    /// sees the same row range as `fit` — the forest is
-    /// **bit-identical** to `fit` on the materialized dataset (the
-    /// `tests/scale_out.rs` A/B suite pins this at paper scale).
+    /// 1` the whole source loads as one dataset and trains through
+    /// `fit` itself, so the forest is **bit-identical** to `fit` on
+    /// the materialized dataset (the `tests/scale_out.rs` A/B suite
+    /// pins this at paper scale).
     ///
     /// # Errors
     ///
@@ -162,35 +157,19 @@ impl RandomForest {
         assert!(config.n_trees > 0, "forest needs at least one tree");
         let n = source.len();
         let n_shards = n_shards.clamp(1, n.min(config.n_trees));
-        let workers = pool::resolve_workers(config.workers);
+
+        if n_shards == 1 {
+            // Degenerate sharding: load once and train through fit,
+            // parallel over trees (shard-level parallelism would leave
+            // every worker but one idle).
+            return Ok(Self::fit(&source.load_rows(0, n)?, config, rng));
+        }
 
         // Per-tree seeds forked before dispatch — the same path
-        // strings as fit_with, so a 1-shard run replays fit exactly.
+        // strings as fit_with, so tree t's stream matches fit's.
         let seeds: Vec<Pcg64> = (0..config.n_trees)
             .map(|t| rng.fork(&["tree", &t.to_string()]))
             .collect();
-
-        if n_shards == 1 {
-            // Degenerate sharding: load once, then train parallel over
-            // trees like fit_with (shard-level parallelism would leave
-            // every worker but one idle).
-            let data = source.load_rows(0, n)?;
-            let sample_size = ((n * config.bootstrap_pct as usize) / 100).max(1);
-            let train_one = |mut tree_rng: Pcg64| -> DecisionTree {
-                let indices: Vec<usize> =
-                    (0..sample_size).map(|_| tree_rng.next_below(n)).collect();
-                DecisionTree::fit_on(&data, &indices, &config.tree, &mut tree_rng)
-            };
-            let trees: Vec<DecisionTree> = if config.parallel && config.n_trees > 1 {
-                pool::parallel_map_workers(workers, seeds, train_one)
-            } else {
-                seeds.into_iter().map(train_one).collect()
-            };
-            return Ok(RandomForest {
-                trees,
-                n_classes: source.n_classes(),
-            });
-        }
 
         // Shard s covers a contiguous range; the first `rem` shards
         // absorb the remainder row each.
@@ -228,14 +207,11 @@ impl RandomForest {
 
         let shard_jobs: Vec<(usize, Vec<(usize, Pcg64)>)> =
             shard_trees.into_iter().enumerate().collect();
-        let per_shard: Vec<Vec<(usize, DecisionTree)>> = if config.parallel && n_shards > 1 {
-            pool::parallel_try_map_workers(workers, shard_jobs, train_shard)?
-        } else {
-            shard_jobs
-                .into_iter()
-                .map(train_shard)
-                .collect::<io::Result<_>>()?
-        };
+        let per_shard = pool::parallel_try_map_workers(
+            pool::resolve_workers(config.workers),
+            shard_jobs,
+            train_shard,
+        )?;
 
         // Merge in tree-index order so the ensemble is independent of
         // which shard trained which tree.
@@ -352,34 +328,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_training_agree() {
-        let train = blobs(20, 4);
-        let cfg_par = ForestConfig {
-            n_trees: 12,
-            parallel: true,
-            ..ForestConfig::default()
-        };
-        let cfg_ser = ForestConfig {
-            parallel: false,
-            ..cfg_par
-        };
-        let fp = RandomForest::fit(&train, &cfg_par, &mut Pcg64::new(11));
-        let fs = RandomForest::fit(&train, &cfg_ser, &mut Pcg64::new(11));
-        let test = blobs(15, 5);
-        for i in 0..test.len() {
-            assert_eq!(
-                fp.predict_proba(test.row(i)),
-                fs.predict_proba(test.row(i)),
-                "row {i}"
-            );
-        }
-    }
-
-    #[test]
     fn worker_count_never_changes_the_forest() {
         // The satellite guarantee behind SYNTHATTR_WORKERS: per-tree
         // seeds are derived before dispatch, so 1/2/8 workers must
-        // train byte-identical forests.
+        // train byte-identical forests. One worker is the serial path:
+        // the pool runs it on the calling thread.
         let train = blobs(20, 30);
         let test = blobs(15, 31);
         let fit_with = |workers: usize| {
@@ -523,9 +476,8 @@ mod tests {
     #[test]
     fn single_shard_training_is_bit_identical_to_fit() {
         // The A/B guarantee behind scripts/verify.sh --scale: with one
-        // shard, fit_sharded replays fit's exact seed derivation and
-        // bootstrap, so the forests must agree to the bit at any
-        // worker count.
+        // shard, fit_sharded trains through fit itself, so the forests
+        // must agree to the bit at any worker count.
         let train = blobs(20, 50);
         let test = blobs(15, 51);
         for workers in [1usize, 3, 8] {
@@ -551,7 +503,8 @@ mod tests {
     #[test]
     fn sharded_training_is_worker_count_invariant() {
         // Multi-shard forests differ from fit (different bootstraps),
-        // but must never depend on how many workers ran the shards.
+        // but must never depend on how many workers ran the shards,
+        // including the single serial worker.
         let train = blobs(20, 52);
         let test = blobs(15, 53);
         let fit_with = |workers: usize| {
@@ -572,22 +525,6 @@ mod tests {
                     "row {i} with {workers} workers"
                 );
             }
-        }
-        // And serial dispatch agrees with the pool too.
-        let serial = {
-            let cfg = ForestConfig {
-                n_trees: 16,
-                parallel: false,
-                ..ForestConfig::default()
-            };
-            RandomForest::fit_sharded(&train, 3, &cfg, &mut Pcg64::new(7)).unwrap()
-        };
-        for i in 0..test.len() {
-            assert_eq!(
-                baseline.predict_proba(test.row(i)),
-                serial.predict_proba(test.row(i)),
-                "row {i} serial"
-            );
         }
     }
 

@@ -4,12 +4,11 @@
 //! The reproduced paper discusses *which* stylistic features carry the
 //! attribution signal; mean-decrease-in-impurity importance over the
 //! trained forest answers that without a separate validation set, and
-//! the OOB estimate gives a train-time generalization proxy used by
-//! the ablation benches.
+//! the OOB estimate gives a train-time generalization proxy.
 
 use crate::dataset::Dataset;
 use crate::forest::ForestConfig;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::DecisionTree;
 use synthattr_util::Pcg64;
 
 /// A forest trained with bookkeeping for importance and OOB analysis.
@@ -133,10 +132,7 @@ impl AnalysisForest {
 pub fn top_permutation_features(data: &Dataset, k: usize, rng: &mut Pcg64) -> Vec<(usize, f64)> {
     let config = ForestConfig {
         n_trees: 30,
-        tree: TreeConfig::default(),
-        bootstrap_pct: 100,
-        parallel: false,
-        workers: None,
+        ..ForestConfig::default()
     };
     let forest = AnalysisForest::fit(data, &config, &mut rng.fork(&["analysis"]));
     let mut scores: Vec<(usize, f64)> = forest
@@ -174,7 +170,6 @@ mod tests {
     fn cfg() -> ForestConfig {
         ForestConfig {
             n_trees: 20,
-            parallel: false,
             ..ForestConfig::default()
         }
     }

@@ -23,8 +23,6 @@
 //! * [`select`] — information-gain feature ranking (the paper's
 //!   feature-selection step);
 //! * [`metrics`] — accuracy, confusion matrices, per-class recall;
-//! * [`baseline`] + [`knn`] — majority-class, nearest-centroid, and
-//!   k-NN baselines used as sanity floors in tests and benches;
 //! * [`importance`] — out-of-bag error and permutation feature
 //!   importance for forest introspection.
 //!
@@ -46,13 +44,11 @@
 //! assert_eq!(forest.predict(&[0.9, 0.1]), 1);
 //! ```
 
-pub mod baseline;
 pub mod colstore;
 pub mod cv;
 pub mod dataset;
 pub mod forest;
 pub mod importance;
-pub mod knn;
 pub mod metrics;
 pub mod select;
 pub mod source;

@@ -86,7 +86,7 @@ impl DatasetSource for ColumnStore {
 
 /// Streams every row of `source` through `f` in order, materializing
 /// at most `batch` rows at a time — the single-pass shape the
-/// reservoir sampler and the scale bench's store-building loop share.
+/// reservoir sampler and the out-of-core store-building loops share.
 pub fn for_each_row<S: DatasetSource + ?Sized>(
     source: &S,
     batch: usize,

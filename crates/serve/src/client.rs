@@ -1,10 +1,10 @@
-//! A minimal blocking HTTP/1.1 client for the integration-test and
-//! bench harnesses.
+//! A minimal blocking HTTP/1.1 client for the integration tests and
+//! the `e2ebench` serve workload.
 //!
 //! Hand-rolled for the same reason the server is: the workspace is
 //! hermetic. It speaks exactly the subset the server emits —
 //! `Content-Length`-framed responses with a handful of headers — and
-//! supports keep-alive so the bench harness can measure per-request
+//! supports keep-alive so the benchmark can measure per-request
 //! latency without paying a TCP handshake each time.
 
 use std::io::{BufRead, BufReader, Write};

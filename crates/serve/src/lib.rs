@@ -39,8 +39,8 @@
 //!   hostile connections hold sockets, never threads; a
 //!   [`synthattr_faults::CircuitBreaker`] guards the transform engine
 //!   and surfaces on `/healthz` as `ok`/`degraded`/`draining`.
-//! * [`client`] — the minimal blocking client the e2e and bench
-//!   harnesses drive the server with (read timeout configurable,
+//! * [`client`] — the minimal blocking client the e2e tests and
+//!   `e2ebench` drive the server with (read timeout configurable,
 //!   defaulting to the server's advertised deadline-derived value).
 //!
 //! The load-bearing invariant, proven end-to-end in

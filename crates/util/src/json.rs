@@ -1,6 +1,5 @@
 //! JSON string escaping, shared by every hand-rolled JSON writer in
-//! the workspace (the serve responses and the bench harness both emit
-//! JSON without serde).
+//! the workspace (the serve responses emit JSON without serde).
 //!
 //! One escaping routine means one definition of the control surface:
 //! the writers can't drift apart on which characters get `\uXXXX`

@@ -160,7 +160,7 @@ fn two_thousand_author_out_of_core_smoke() {
     let n_rows = authors * 4;
 
     // Per-author reservoir hold-out drawn from the (known) label
-    // stream, exactly as the scale bench does it.
+    // stream, exactly as the e2ebench scale workload does it.
     let fold = reservoir_holdout(
         (0..authors).flat_map(|a| std::iter::repeat_n(a, 4)),
         authors,
