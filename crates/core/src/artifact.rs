@@ -42,12 +42,7 @@ use crate::model::AuthorshipModel;
 /// Collisions are tolerated, not assumed away — [`ArtifactCache`]
 /// verifies full source equality within a bucket.
 pub fn content_hash(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in source.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    synthattr_util::hash::fnv1a(source.as_bytes())
 }
 
 /// One source text plus every frontend product derived from it, each

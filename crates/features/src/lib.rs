@@ -44,12 +44,7 @@ pub use extractor::{FeatureConfig, FeatureExtractor};
 /// Stable FNV-1a hash used to bucket identifier unigrams and AST
 /// bigrams. Exposed so tests can predict bucket assignment.
 pub fn stable_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    synthattr_util::hash::fnv1a(text.as_bytes())
 }
 
 #[cfg(test)]

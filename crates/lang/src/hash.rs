@@ -3,10 +3,11 @@
 //! The incremental frontend keys caches on *structure*: two items with
 //! the same AST share one hash regardless of how they were rendered.
 //! Hashing goes through [`std::hash::Hash`] (every AST node derives
-//! it) driven by an FNV-1a hasher — the same function the artifact
-//! cache uses for text — so the stream of hashed bytes is fixed by the
-//! derive and the result is deterministic within a process and across
-//! runs on the same target.
+//! it) driven by the workspace's FNV-1a hasher
+//! ([`synthattr_util::hash`], re-exported here) — the same function
+//! the artifact cache uses for text — so the stream of hashed bytes is
+//! fixed by the derive and the result is deterministic within a
+//! process and across runs on the same target.
 //!
 //! A 64-bit structural hash is trusted without a full `Eq` check on
 //! hot paths (verifying would re-walk the tree and erase the win); the
@@ -17,43 +18,7 @@
 use crate::ast::{Item, TranslationUnit};
 use std::hash::{Hash, Hasher};
 
-/// FNV-1a offset basis (matches the artifact cache's text hash).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A [`Hasher`] implementing 64-bit FNV-1a.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-}
-
-impl Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-}
-
-/// FNV-1a over a byte slice (the artifact cache's text hash, exported
-/// for region-text keys).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::default();
-    h.write(bytes);
-    h.finish()
-}
+pub use synthattr_util::hash::{fnv1a, Fnv64};
 
 /// Structural hash of any `Hash` value through [`Fnv64`].
 pub fn structural_hash<T: Hash + ?Sized>(value: &T) -> u64 {
@@ -119,12 +84,6 @@ mod tests {
         let u = parse("#include <iostream>\nint main() { return 0; }").unwrap();
         let hashes: Vec<u64> = u.items.iter().map(item_hash).collect();
         assert_eq!(unit_hash(&u), unit_hash_of(&hashes));
-    }
-
-    #[test]
-    fn fnv1a_matches_known_vector() {
-        // FNV-1a("a") from the reference implementation.
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
     }
 
     #[test]

@@ -7,6 +7,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::hash::fnv1a;
+
 /// An interned identifier.
 ///
 /// Every distinct identifier spelling is stored exactly once in a
@@ -33,15 +35,6 @@ const INTERNER_SHARDS: usize = 32;
 fn interner() -> &'static [Mutex<HashSet<Arc<str>>>; INTERNER_SHARDS] {
     static TABLE: OnceLock<[Mutex<HashSet<Arc<str>>>; INTERNER_SHARDS]> = OnceLock::new();
     TABLE.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashSet::new())))
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Symbol {

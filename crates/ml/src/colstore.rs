@@ -48,6 +48,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use synthattr_util::hash::fnv1a;
 
 const MAGIC: &[u8; 8] = b"SYNCOLS1";
 const HEADER_LEN: u64 = 40;
@@ -115,17 +116,6 @@ impl From<ColStoreError> for io::Error {
             other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
         }
     }
-}
-
-/// FNV-1a over `bytes` (the same fold the seed-derivation RNG uses;
-/// kept local so the store's file format is self-contained).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Serialized header minus the checksum (bytes 0..32).

@@ -7,7 +7,7 @@
 //! supports keep-alive so the benchmark can measure per-request
 //! latency without paying a TCP handshake each time.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -148,7 +148,7 @@ fn read_response(reader: &mut impl BufRead) -> std::io::Result<ClientResponse> {
         .ok_or_else(|| invalid("bad status code"))?;
 
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = 0u64;
     loop {
         let line = read_line(reader)?;
         if line.is_empty() {
@@ -163,8 +163,13 @@ fn read_response(reader: &mut impl BufRead) -> std::io::Result<ClientResponse> {
         headers.push((name, value));
     }
 
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    // The length is the peer's claim: allocate for the bytes that
+    // actually arrive, never for the claim.
+    let mut body = Vec::new();
+    reader.take(content_length).read_to_end(&mut body)?;
+    if (body.len() as u64) < content_length {
+        return Err(invalid("connection closed mid-body"));
+    }
     Ok(ClientResponse {
         status,
         headers,
@@ -194,7 +199,12 @@ mod tests {
 
     #[test]
     fn truncated_bodies_error_instead_of_hanging() {
-        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort";
-        assert!(read_response(&mut Cursor::new(&raw[..])).is_err());
+        // Forged lengths must not size an allocation: allocating 1 TiB
+        // aborts the process, and u64::MAX overflows capacity.
+        for length in ["10", "1099511627776", "18446744073709551615"] {
+            let raw = format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\nshort");
+            let err = read_response(&mut Cursor::new(raw.as_bytes())).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{length}");
+        }
     }
 }

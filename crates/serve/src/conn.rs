@@ -3,10 +3,9 @@
 //! The rotation loop in `server.rs` never camps on a socket — it
 //! reads what a connection has to offer, then either serves, parks,
 //! or closes it. *Which* of those happens is decided here, by a pure
-//! policy core in the same style as [`crate::batch::BatchQueue`]:
-//! every method takes an explicit `now_ms`, so the unit suite can
-//! replay a slow-loris, a byte-dripper, or an idle keep-alive session
-//! with a scripted clock and no sockets at all.
+//! policy core: every method takes an explicit `now_ms`, so the unit
+//! suite can replay a slow-loris, a byte-dripper, or an idle keep-alive
+//! session with a scripted clock and no sockets at all.
 //!
 //! The model: a connection is always in one [`Phase`]. Time spent
 //! in [`Phase::Idle`] accrues against a *total* idle budget for the
@@ -20,9 +19,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::http::ScanStatus;
+use crate::http::Pending;
 
-/// Per-connection budgets and the rotation tuning knobs.
+/// Per-connection budgets.
 #[derive(Debug, Clone)]
 pub struct ConnPolicy {
     /// Total milliseconds a connection may sit idle (no request in
@@ -39,13 +38,6 @@ pub struct ConnPolicy {
     /// Requests served per connection before it is closed (bounds
     /// what one keep-alive session can extract).
     pub max_requests: u32,
-    /// Requests served per drive slice before the connection is
-    /// parked again, so one pipelining client cannot monopolize a
-    /// worker.
-    pub max_requests_per_slice: u32,
-    /// Cap on the exponential back-off a worker sleeps after an
-    /// unproductive sweep of the parked set, bounding idle spin.
-    pub rotation_backoff_ms: u64,
 }
 
 impl Default for ConnPolicy {
@@ -56,8 +48,6 @@ impl Default for ConnPolicy {
             body_deadline_ms: 2_000,
             write_stall_ms: 2_000,
             max_requests: 1_024,
-            max_requests_per_slice: 32,
-            rotation_backoff_ms: 5,
         }
     }
 }
@@ -216,22 +206,22 @@ impl ConnGauge {
         self.phase_start_ms = now_ms;
     }
 
-    /// Folds a buffer scan into the phase machine: first bytes of a
-    /// request move Idle → Head, a complete head moves Head → Body.
-    /// A pending write pins the phase (the write deadline governs
-    /// until the socket drains).
-    pub fn observe_scan(&mut self, status: ScanStatus, now_ms: u64) {
+    /// Folds how far the buffered request got into the phase machine:
+    /// first bytes of a request move Idle → Head, a complete head moves
+    /// Head → Body. A pending write pins the phase (the write deadline
+    /// governs until the socket drains).
+    pub fn observe(&mut self, pending: Pending, now_ms: u64) {
         if self.phase == Phase::Write {
             return;
         }
-        match status {
-            ScanStatus::Empty => self.enter(Phase::Idle, now_ms),
-            ScanStatus::PartialHead | ScanStatus::Complete { .. } => {
+        match pending {
+            Pending::Empty => self.enter(Phase::Idle, now_ms),
+            Pending::Head => {
                 if self.phase == Phase::Idle {
                     self.enter(Phase::Head, now_ms);
                 }
             }
-            ScanStatus::NeedBody { .. } => {
+            Pending::Body => {
                 if self.phase == Phase::Idle {
                     self.enter(Phase::Head, now_ms);
                 }
@@ -254,7 +244,7 @@ impl ConnGauge {
     }
 
     /// The blocked write fully drained; the connection is idle again
-    /// (a buffered next request re-enters Head on the next scan).
+    /// (a buffered next request re-enters Head on the next parse).
     pub fn write_drained(&mut self, now_ms: u64) {
         if self.phase == Phase::Write {
             self.phase = Phase::Idle;
@@ -380,8 +370,6 @@ mod tests {
             body_deadline_ms: 30,
             write_stall_ms: 15,
             max_requests: 3,
-            max_requests_per_slice: 2,
-            rotation_backoff_ms: 5,
         }
     }
 
@@ -390,7 +378,7 @@ mod tests {
         let p = policy();
         let mut g = ConnGauge::new(0);
         // First bytes arrive at t=5: Idle → Head.
-        g.observe_scan(ScanStatus::PartialHead, 5);
+        g.observe(Pending::Head, 5);
         assert_eq!(g.phase(), Phase::Head);
         assert_eq!(g.stalled(&p, 10), Verdict::Park, "5ms into the head");
         assert_eq!(g.stalled(&p, 24), Verdict::Park, "19ms in: still inside");
@@ -405,15 +393,15 @@ mod tests {
     fn a_dripper_survives_as_long_as_each_phase_progresses() {
         let p = policy();
         let mut g = ConnGauge::new(0);
-        g.observe_scan(ScanStatus::PartialHead, 2);
-        // Drip, drip — still PartialHead, but the head deadline is
+        g.observe(Pending::Head, 2);
+        // Drip, drip — still a partial head, but the head deadline is
         // anchored at first byte, not per byte: no re-arming.
         for t in [6, 10, 14, 18] {
-            g.observe_scan(ScanStatus::PartialHead, t);
+            g.observe(Pending::Head, t);
             assert_eq!(g.stalled(&p, t), Verdict::Park);
         }
         // Head completes inside the deadline; body phase re-arms.
-        g.observe_scan(ScanStatus::NeedBody { total_len: 50 }, 20);
+        g.observe(Pending::Body, 20);
         assert_eq!(g.phase(), Phase::Body);
         assert_eq!(g.stalled(&p, 49), Verdict::Park, "29ms of body");
         assert_eq!(
@@ -428,7 +416,7 @@ mod tests {
         let p = policy();
         let mut g = ConnGauge::new(0);
         // 60ms idle, then a served request, then idle again.
-        g.observe_scan(ScanStatus::PartialHead, 60);
+        g.observe(Pending::Head, 60);
         assert!(!g.request_served(&p, 61));
         assert_eq!(g.phase(), Phase::Idle);
         assert_eq!(g.idle_spent_ms(61), 60);
@@ -471,7 +459,7 @@ mod tests {
     fn write_phase_pins_the_gauge_against_scan_transitions() {
         let mut g = ConnGauge::new(0);
         g.write_blocked(5);
-        g.observe_scan(ScanStatus::PartialHead, 6);
+        g.observe(Pending::Head, 6);
         assert_eq!(
             g.phase(),
             Phase::Write,
@@ -483,8 +471,8 @@ mod tests {
     fn served_requests_reset_the_phase_but_not_idle_history() {
         let p = policy();
         let mut g = ConnGauge::new(0);
-        g.observe_scan(ScanStatus::PartialHead, 40);
-        g.observe_scan(ScanStatus::NeedBody { total_len: 9 }, 45);
+        g.observe(Pending::Head, 40);
+        g.observe(Pending::Body, 45);
         assert!(!g.request_served(&p, 50));
         // 40ms idle accrued before the request; the served request
         // contributes nothing to idle.

@@ -1,12 +1,13 @@
 //! A minimal, defensive HTTP/1.1 wire layer.
 //!
 //! Hand-rolled on `std::io` because the workspace is hermetic (zero
-//! registry dependencies): no hyper, no epoll crate — one blocking
-//! reader per connection, served by the worker pool. The parser is
-//! generic over [`BufRead`] so the property suite can drive it with
-//! in-memory cursors at fuzzing speed, and every input dimension is
-//! hard-limited (request line, header count, header size, body size)
-//! so a hostile peer can cost at most a bounded read before a 4xx.
+//! registry dependencies): no hyper, no epoll crate. One parser,
+//! [`parse_request`], works over a byte buffer: the server feeds it
+//! each connection's buffered bytes, and [`read_request`] adapts it to
+//! any [`BufRead`] so the property suite can drive it with in-memory
+//! cursors at fuzzing speed. Every input dimension is hard-limited
+//! (request line, header count, header size, body size) so a hostile
+//! peer can cost at most a bounded read before a 4xx.
 //!
 //! Supported surface: `GET`/`POST`/`HEAD`, `Content-Length` bodies,
 //! keep-alive and pipelining. Chunked transfer encoding is refused
@@ -78,9 +79,6 @@ impl Request {
 /// maps to one response status; none of them panic.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Peer closed the connection before sending anything: a clean end
-    /// of a keep-alive session, not an error to report.
-    Closed,
     /// Malformed request (syntax, bad framing, truncated mid-request).
     BadRequest(&'static str),
     /// Request line exceeded [`Limits::max_request_line`] → 414.
@@ -99,11 +97,11 @@ pub enum HttpError {
 }
 
 impl HttpError {
-    /// The response status for this error (0 for [`HttpError::Closed`]
-    /// and [`HttpError::Io`], where no response can or should be sent).
+    /// The response status for this error (0 for [`HttpError::Io`],
+    /// where no response can be sent).
     pub fn status(&self) -> u16 {
         match self {
-            HttpError::Closed | HttpError::Io(_) => 0,
+            HttpError::Io(_) => 0,
             HttpError::BadRequest(_) => 400,
             HttpError::UriTooLong => 414,
             HttpError::HeadersTooLarge => 431,
@@ -116,7 +114,6 @@ impl HttpError {
     /// Short operator-facing description.
     pub fn reason(&self) -> &'static str {
         match self {
-            HttpError::Closed => "connection closed",
             HttpError::BadRequest(why) => why,
             HttpError::UriTooLong => "request line too long",
             HttpError::HeadersTooLarge => "headers too large",
@@ -128,42 +125,38 @@ impl HttpError {
     }
 }
 
-/// Reads one line (terminated by `\n`, tolerating `\r\n`) of at most
-/// `max` bytes. `Ok(None)` is clean EOF before any byte.
-fn read_line_limited(
-    reader: &mut impl BufRead,
-    max: usize,
-    over_limit: fn() -> HttpError,
-) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::BadRequest("truncated line"));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let text = String::from_utf8(line)
-                        .map_err(|_| HttpError::BadRequest("non-utf8 line"))?;
-                    return Ok(Some(text));
-                }
-                line.push(byte[0]);
-                if line.len() > max {
-                    return Err(over_limit());
-                }
-            }
-            Err(e) if is_timeout(&e) => return Err(HttpError::Timeout),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e)),
+/// How far a request that is not complete yet has arrived — what the
+/// connection gauge needs to pick the deadline that applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pending {
+    /// No bytes buffered: the connection is idle between requests.
+    Empty,
+    /// A request has started arriving but its head is incomplete.
+    Head,
+    /// The head is complete and valid; the declared body is arriving.
+    Body,
+}
+
+impl Pending {
+    /// The error for a stream that ends in this state: none between
+    /// requests, a 400 naming the truncation otherwise.
+    pub fn truncation(self) -> Option<HttpError> {
+        match self {
+            Pending::Empty => None,
+            Pending::Head => Some(HttpError::BadRequest("truncated head")),
+            Pending::Body => Some(HttpError::BadRequest("truncated body")),
         }
     }
+}
+
+/// What [`parse_request`] made of the buffered bytes.
+#[derive(Debug)]
+pub enum Parsed {
+    /// More bytes are needed before the request can be decided.
+    Incomplete(Pending),
+    /// One complete request and the number of leading buffer bytes it
+    /// spans (head plus body); later bytes belong to the next request.
+    Complete(Request, usize),
 }
 
 /// Read timeouts surface as `WouldBlock` on Unix sockets and
@@ -220,37 +213,69 @@ fn split_target(target: &str) -> (String, Vec<(String, String)>) {
     }
 }
 
-/// Reads and parses one request.
+/// The line of `buf` starting at `*pos`, without its `\n` or `\r\n`,
+/// advancing `*pos` past it; `Ok(None)` while the line has not ended.
+/// The length checked against `max` counts a trailing `\r`, so a line
+/// over the limit is `too_long` before its end arrives.
+fn next_line<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    max: usize,
+    too_long: HttpError,
+) -> Result<Option<&'a str>, HttpError> {
+    let rest = &buf[*pos..];
+    let Some(len) = rest.iter().position(|&b| b == b'\n') else {
+        return if rest.len() > max {
+            Err(too_long)
+        } else {
+            Ok(None)
+        };
+    };
+    if len > max {
+        return Err(too_long);
+    }
+    *pos += len + 1;
+    let line = &rest[..len];
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    std::str::from_utf8(line)
+        .map(Some)
+        .map_err(|_| HttpError::BadRequest("non-utf8 line"))
+}
+
+/// Parses the request at the front of `buf` — the one request parser.
 ///
-/// `Ok(None)` means the peer closed cleanly between requests (normal
-/// keep-alive teardown). Any [`HttpError`] other than
-/// [`HttpError::Closed`]/[`HttpError::Io`] should be answered with
-/// [`Response::from_error`] before closing.
+/// Returns [`Parsed::Incomplete`] while more bytes are needed, saying
+/// how far the request got, and [`Parsed::Complete`] with the request
+/// and the byte count it spans once head and declared body are all
+/// buffered. Nothing is consumed: the caller drops the span.
 ///
 /// # Errors
 ///
-/// See [`HttpError`]; every limit violation and framing defect maps to
-/// a 4xx/5xx status rather than a panic.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    limits: &Limits,
-) -> Result<Option<Request>, HttpError> {
+/// The first defect in wire order, as soon as it is decidable: an
+/// over-limit line before the line ends, a malformed line when it
+/// ends, a refused framing when the head ends. Every limit violation
+/// and framing defect maps to a 4xx/5xx status, never a panic.
+pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Parsed, HttpError> {
+    if buf.is_empty() {
+        return Ok(Parsed::Incomplete(Pending::Empty));
+    }
+    let mut pos = 0;
     // Tolerate a little CRLF noise between pipelined requests
     // (RFC 9112 §2.2), but only a little: endless blank lines are a
     // stall, not a request.
-    let mut request_line = None;
-    for _ in 0..4 {
-        match read_line_limited(reader, limits.max_request_line, || HttpError::UriTooLong)? {
-            None => return Ok(None),
-            Some(line) if line.is_empty() => continue,
-            Some(line) => {
-                request_line = Some(line);
-                break;
-            }
+    let mut blank_lines = 0;
+    let request_line = loop {
+        match next_line(
+            buf,
+            &mut pos,
+            limits.max_request_line,
+            HttpError::UriTooLong,
+        )? {
+            None => return Ok(Parsed::Incomplete(Pending::Head)),
+            Some("") if blank_lines == 3 => return Err(HttpError::BadRequest("blank-line flood")),
+            Some("") => blank_lines += 1,
+            Some(line) => break line,
         }
-    }
-    let Some(request_line) = request_line else {
-        return Err(HttpError::BadRequest("blank-line flood"));
     };
 
     let mut parts = request_line.split(' ');
@@ -272,10 +297,15 @@ pub fn read_request(
 
     let mut headers: Vec<(String, String)> = Vec::new();
     loop {
-        let line = read_line_limited(reader, limits.max_header_line, || {
-            HttpError::HeadersTooLarge
-        })?
-        .ok_or(HttpError::BadRequest("truncated headers"))?;
+        let Some(line) = next_line(
+            buf,
+            &mut pos,
+            limits.max_header_line,
+            HttpError::HeadersTooLarge,
+        )?
+        else {
+            return Ok(Parsed::Incomplete(Pending::Head));
+        };
         if line.is_empty() {
             break;
         }
@@ -309,18 +339,9 @@ pub fn read_request(
     if content_length > limits.max_body {
         return Err(HttpError::BodyTooLarge);
     }
-
-    let mut body = vec![0u8; content_length];
-    let mut read_so_far = 0;
-    while read_so_far < content_length {
-        match reader.read(&mut body[read_so_far..]) {
-            Ok(0) => return Err(HttpError::BadRequest("truncated body")),
-            Ok(n) => read_so_far += n,
-            Err(e) if is_timeout(&e) => return Err(HttpError::Timeout),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
+    let Some(body) = buf[pos..].get(..content_length) else {
+        return Ok(Parsed::Incomplete(Pending::Body));
+    };
 
     let keep_alive = match find("connection").map(str::to_ascii_lowercase) {
         Some(c) if c.contains("close") => false,
@@ -328,160 +349,59 @@ pub fn read_request(
         _ => http11,
     };
     let (path, query) = split_target(target);
-    Ok(Some(Request {
+    let request = Request {
         method: method.to_string(),
         path,
         query,
         headers,
-        body,
+        body: body.to_vec(),
         keep_alive,
-    }))
+    };
+    Ok(Parsed::Complete(request, pos + content_length))
 }
 
-/// What an incremental scan of buffered connection bytes concluded.
+/// Reads and parses one request from a stream: feeds [`parse_request`]
+/// what `fill_buf` offers and consumes exactly the request's bytes, so
+/// pipelined requests parse back to back.
 ///
-/// The rotation loop reads whatever a socket has to offer without
-/// blocking, so a connection's buffer is usually a *prefix* of a
-/// request. [`scan_request`] classifies that prefix cheaply — without
-/// allocating or parsing — so the transport knows whether to hand the
-/// bytes to [`read_request`] (the single authoritative parser), keep
-/// waiting, or reject the peer outright.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanStatus {
-    /// No bytes buffered: the connection is idle between requests.
-    Empty,
-    /// A request has started arriving but its head is incomplete.
-    PartialHead,
-    /// The head is complete; the request spans `total_len` bytes
-    /// (head + declared body) and the buffer does not hold them yet.
-    NeedBody {
-        /// Head plus declared body length, in bytes.
-        total_len: usize,
-    },
-    /// The first `total_len` buffered bytes form one complete unit:
-    /// either a parseable request or a head whose defects
-    /// [`read_request`] is guaranteed to reject without blocking
-    /// (blank-line flood, malformed or oversized framing, unsupported
-    /// transfer-encoding).
-    Complete {
-        /// Bytes to feed to [`read_request`] and then consume.
-        total_len: usize,
-    },
-}
-
-/// Incrementally classifies the buffered prefix of a request.
-///
-/// Mirrors [`read_request`]'s limit accounting exactly (line lengths
-/// include a trailing `\r`, the header-count check fires on the
-/// header *after* the last accepted one) so a scan error is always
-/// the same status the authoritative parse would produce — just
-/// earlier, before the hostile peer finishes its line.
+/// `Ok(None)` means the peer closed cleanly between requests (normal
+/// keep-alive teardown). Any other [`HttpError`] than
+/// [`HttpError::Io`] should be answered with [`Response::from_error`]
+/// before closing.
 ///
 /// # Errors
 ///
-/// [`HttpError::UriTooLong`] / [`HttpError::HeadersTooLarge`] when a
-/// partial or complete line already exceeds its limit — the caller
-/// should answer and close without waiting for more bytes.
-pub fn scan_request(buf: &[u8], limits: &Limits) -> Result<ScanStatus, HttpError> {
-    if buf.is_empty() {
-        return Ok(ScanStatus::Empty);
-    }
-    let mut pos = 0usize;
-    let mut blank_lines = 0usize;
-    let mut in_headers = false;
-    let mut header_count = 0usize;
-    let mut content_length: Option<Result<usize, ()>> = None;
-    let mut head_malformed = false;
+/// See [`parse_request`]; a stream that ends inside a request is a 400
+/// naming the truncation ([`Pending::truncation`]), and a read timeout
+/// is [`HttpError::Timeout`].
+pub fn read_request(
+    reader: &mut impl BufRead,
+    limits: &Limits,
+) -> Result<Option<Request>, HttpError> {
+    let mut buf = Vec::new();
+    let mut pending = Pending::Empty;
     loop {
-        let line_end = buf[pos..].iter().position(|&b| b == b'\n');
-        let Some(rel) = line_end else {
-            // An unterminated line: over-limit is decidable now, more
-            // bytes are needed otherwise. Lengths match
-            // `read_line_limited`, which counts every pushed byte
-            // (including a pending '\r').
-            let partial = buf.len() - pos;
-            let (max, err): (usize, fn() -> HttpError) = if in_headers {
-                (limits.max_header_line, || HttpError::HeadersTooLarge)
-            } else {
-                (limits.max_request_line, || HttpError::UriTooLong)
-            };
-            if partial > max {
-                return Err(err());
-            }
-            return Ok(ScanStatus::PartialHead);
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if is_timeout(&e) => return Err(HttpError::Timeout),
+            Err(e) => return Err(HttpError::Io(e)),
         };
-        // The line as `read_line_limited` counts it: '\n' excluded,
-        // '\r' included in the length check but not the content.
-        let raw = &buf[pos..pos + rel];
-        let line = if raw.last() == Some(&b'\r') {
-            &raw[..raw.len() - 1]
-        } else {
-            raw
-        };
-        let after = pos + rel + 1;
-        if !in_headers {
-            if line.is_empty() {
-                blank_lines += 1;
-                // `read_request` tolerates three blank lines before
-                // the request line; the fourth makes the whole prefix
-                // a guaranteed 400 ("blank-line flood").
-                if blank_lines >= 4 {
-                    return Ok(ScanStatus::Complete { total_len: after });
-                }
-                pos = after;
-                continue;
+        if chunk.is_empty() {
+            return pending.truncation().map_or(Ok(None), Err);
+        }
+        let consumed = buf.len();
+        buf.extend_from_slice(chunk);
+        match parse_request(&buf, limits)? {
+            Parsed::Complete(request, len) => {
+                reader.consume(len - consumed);
+                return Ok(Some(request));
             }
-            if raw.len() > limits.max_request_line {
-                return Err(HttpError::UriTooLong);
-            }
-            in_headers = true;
-            pos = after;
-            continue;
-        }
-        if line.is_empty() {
-            // End of head. Anything the scan could not vouch for is
-            // handed to `read_request`, which will reject it from the
-            // buffered head alone — no body read can block on a
-            // malformed or refused request.
-            let body_len = match content_length {
-                None => 0,
-                Some(Ok(n)) => n,
-                Some(Err(())) => return Ok(ScanStatus::Complete { total_len: after }),
-            };
-            if head_malformed || body_len > limits.max_body {
-                return Ok(ScanStatus::Complete { total_len: after });
-            }
-            let total_len = after + body_len;
-            return Ok(if buf.len() >= total_len {
-                ScanStatus::Complete { total_len }
-            } else {
-                ScanStatus::NeedBody { total_len }
-            });
-        }
-        if raw.len() > limits.max_header_line {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        if header_count >= limits.max_headers {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        header_count += 1;
-        match line.iter().position(|&b| b == b':') {
-            None => head_malformed = true,
-            Some(colon) => {
-                let name = &line[..colon];
-                if name.eq_ignore_ascii_case(b"transfer-encoding") {
-                    // Refused with 501 by the parser; no body follows.
-                    head_malformed = true;
-                }
-                if name.eq_ignore_ascii_case(b"content-length") && content_length.is_none() {
-                    let value = std::str::from_utf8(&line[colon + 1..])
-                        .map(str::trim)
-                        .map_err(|_| ());
-                    content_length = Some(value.and_then(|v| v.parse::<usize>().map_err(|_| ())));
-                }
+            Parsed::Incomplete(now) => {
+                reader.consume(buf.len() - consumed);
+                pending = now;
             }
         }
-        pos = after;
     }
 }
 
@@ -505,16 +425,6 @@ impl Response {
             status,
             content_type: "application/json",
             body: body.into_bytes(),
-            close: false,
-        }
-    }
-
-    /// A plain-text response.
-    pub fn text(status: u16, body: &str) -> Self {
-        Response {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: body.as_bytes().to_vec(),
             close: false,
         }
     }
@@ -568,26 +478,29 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serializes the response (status line, headers, body).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport write errors; the caller drops the
-    /// connection on any of them.
-    pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
-        writer.write_all(&self.to_bytes())?;
-        writer.flush()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
 
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
         read_request(&mut Cursor::new(raw.as_bytes()), &Limits::default())
+    }
+
+    fn parse_buf(buf: &[u8]) -> Result<Parsed, HttpError> {
+        parse_request(buf, &Limits::default())
+    }
+
+    fn pending(buf: &[u8]) -> Pending {
+        match parse_buf(buf) {
+            Ok(Parsed::Incomplete(p)) => p,
+            other => panic!(
+                "{:?} should be incomplete, got {other:?}",
+                String::from_utf8_lossy(buf)
+            ),
+        }
     }
 
     #[test]
@@ -657,6 +570,21 @@ mod tests {
     }
 
     #[test]
+    fn the_first_defect_in_wire_order_wins_over_a_later_oversize() {
+        // A bad line followed by an over-limit one: the bad line is
+        // reported, whether the over-limit line has ended or not.
+        let headers70: String = (0..70).map(|i| format!("X-H{i}: v\r\n")).collect();
+        for raw in [
+            format!("GET / HTTP/1.1\r\nnocolon\r\nX: {}", "b".repeat(9000)),
+            format!("get / http/1.1\r\n{headers70}"),
+            format!("GET / HTTP/1.1\r\nbad name: v\r\n{headers70}"),
+        ] {
+            let err = parse(&raw).expect_err(&raw[..32]);
+            assert_eq!(err.status(), 400, "{:?} → {err:?}", &raw[..32]);
+        }
+    }
+
+    #[test]
     fn truncated_body_is_a_bad_request() {
         let err = parse("POST /x HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort").unwrap_err();
         assert_eq!(err.status(), 400);
@@ -685,19 +613,25 @@ mod tests {
     #[test]
     fn pipelined_requests_parse_back_to_back() {
         let raw = "GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
-        let mut cursor = Cursor::new(raw.as_bytes());
-        let a = read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .unwrap();
-        let b = read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(a.path, "/a");
-        assert_eq!(b.path, "/b");
-        assert_eq!(b.body, b"hi");
-        assert!(read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .is_none());
+        // A cursor offers everything in one `fill_buf`; a 3-byte reader
+        // makes each request span many, and neither may over-consume.
+        let cursor = Cursor::new(raw.as_bytes());
+        let dribble = BufReader::with_capacity(3, Cursor::new(raw.as_bytes()));
+        let readers: [Box<dyn BufRead>; 2] = [Box::new(cursor), Box::new(dribble)];
+        for mut reader in readers {
+            let a = read_request(&mut reader, &Limits::default())
+                .unwrap()
+                .unwrap();
+            let b = read_request(&mut reader, &Limits::default())
+                .unwrap()
+                .unwrap();
+            assert_eq!(a.path, "/a");
+            assert_eq!(b.path, "/b");
+            assert_eq!(b.body, b"hi");
+            assert!(read_request(&mut reader, &Limits::default())
+                .unwrap()
+                .is_none());
+        }
     }
 
     #[test]
@@ -711,12 +645,8 @@ mod tests {
         assert_eq!(req.query_param("bad"), Some("%zz"));
     }
 
-    fn scan(buf: &[u8]) -> Result<ScanStatus, HttpError> {
-        scan_request(buf, &Limits::default())
-    }
-
     #[test]
-    fn scan_classifies_prefixes_of_a_posted_request() {
+    fn parser_classifies_prefixes_of_a_posted_request() {
         let full = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
         let head_end = full
             .windows(4)
@@ -724,119 +654,89 @@ mod tests {
             .map(|p| p + 4)
             .unwrap();
         let total = full.len(); // head + the 5 declared body bytes
-        assert_eq!(scan(b"").unwrap(), ScanStatus::Empty);
+        assert_eq!(pending(b""), Pending::Empty);
         for cut in 1..head_end {
             // Everything before the blank line ends is a partial head.
-            assert_eq!(
-                scan(&full[..cut]).unwrap(),
-                ScanStatus::PartialHead,
-                "cut={cut}"
-            );
+            assert_eq!(pending(&full[..cut]), Pending::Head, "cut={cut}");
         }
-        assert_eq!(
-            scan(&full[..head_end]).unwrap(),
-            ScanStatus::NeedBody { total_len: total },
-            "head complete, body missing"
-        );
-        assert_eq!(
-            scan(&full[..total - 2]).unwrap(),
-            ScanStatus::NeedBody { total_len: total },
-            "body partially buffered"
-        );
-        assert_eq!(
-            scan(full).unwrap(),
-            ScanStatus::Complete { total_len: total },
-            "whole request buffered"
-        );
+        assert_eq!(pending(&full[..head_end]), Pending::Body, "body missing");
+        assert_eq!(pending(&full[..total - 2]), Pending::Body, "body partial");
         // Extra pipelined bytes never change the first request's span.
         let mut two = full.to_vec();
         two.extend_from_slice(b"GET /y HTTP/1.1\r\n\r\n");
-        assert_eq!(
-            scan(&two).unwrap(),
-            ScanStatus::Complete { total_len: total }
-        );
-    }
-
-    #[test]
-    fn scan_agrees_with_read_request_on_every_complete_span() {
-        // For each raw exchange: scanning must find the same span the
-        // authoritative parser consumes, and parsing exactly that span
-        // must succeed (or fail) identically to streaming the bytes.
-        for raw in [
-            "GET /a HTTP/1.1\r\n\r\n".to_string(),
-            "\r\n\r\nGET /a HTTP/1.1\r\nHost: x\r\n\r\n".to_string(),
-            "POST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi".to_string(),
-            "GET /a HTTP/1.0\nConnection: keep-alive\n\n".to_string(),
-            "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_string(),
-            "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n".to_string(),
-            "POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n".to_string(),
-            "GET /x HTTP/1.1\r\nno-colon\r\n\r\n".to_string(),
-            "\r\n\r\n\r\n\r\n".to_string(),
-        ] {
-            let buf = raw.as_bytes();
-            let ScanStatus::Complete { total_len } = scan(buf).unwrap() else {
-                panic!("{raw:?} should scan complete");
+        for buf in [&full[..], &two[..]] {
+            let Ok(Parsed::Complete(req, len)) = parse_buf(buf) else {
+                panic!("whole request buffered");
             };
-            let mut streamed = Cursor::new(buf);
-            let streamed_result = read_request(&mut streamed, &Limits::default());
-            let sliced_result =
-                read_request(&mut Cursor::new(&buf[..total_len]), &Limits::default());
-            match (streamed_result, sliced_result) {
-                (Ok(Some(a)), Ok(Some(b))) => {
-                    assert_eq!(a.path, b.path, "{raw:?}");
-                    assert_eq!(a.body, b.body, "{raw:?}");
-                    assert_eq!(
-                        streamed.position() as usize,
-                        total_len,
-                        "{raw:?}: scan span must equal the parser's consumption"
-                    );
-                }
-                (Err(a), Err(b)) => assert_eq!(a.status(), b.status(), "{raw:?}"),
-                (a, b) => panic!("{raw:?}: streamed {a:?} vs sliced {b:?}"),
-            }
+            assert_eq!((len, &req.body[..]), (total, &b"hello"[..]));
         }
     }
 
     #[test]
-    fn scan_rejects_oversized_lines_before_they_finish() {
+    fn complete_spans_and_statuses() {
+        // `Ok(())`: one request spanning the whole input; `Err(status)`:
+        // rejected from the buffered bytes alone, with that status.
+        for (raw, want) in [
+            ("GET /a HTTP/1.1\r\n\r\n", Ok(())),
+            ("\r\n\r\nGET /a HTTP/1.1\r\nHost: x\r\n\r\n", Ok(())),
+            ("POST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi", Ok(())),
+            ("GET /a HTTP/1.0\nConnection: keep-alive\n\n", Ok(())),
+            (
+                "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                Err(501),
+            ),
+            ("POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n", Err(400)),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+                Err(413),
+            ),
+            ("GET /x HTTP/1.1\r\nno-colon\r\n\r\n", Err(400)),
+            ("\r\n\r\n\r\n\r\n", Err(400)),
+        ] {
+            let got = match parse_buf(raw.as_bytes()) {
+                Ok(Parsed::Complete(_, len)) => Ok(len),
+                Ok(Parsed::Incomplete(p)) => panic!("{raw:?} is incomplete: {p:?}"),
+                Err(err) => Err(err.status()),
+            };
+            assert_eq!(got, want.map(|()| raw.len()), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_oversized_lines_before_they_finish() {
         let long_target = format!("GET /{}", "a".repeat(9000));
         assert_eq!(
-            scan(long_target.as_bytes()).unwrap_err().status(),
+            parse_buf(long_target.as_bytes()).unwrap_err().status(),
             414,
             "partial oversize request line is decidable early"
         );
         let big_header = format!("GET / HTTP/1.1\r\nX-Big: {}", "b".repeat(9000));
-        assert_eq!(scan(big_header.as_bytes()).unwrap_err().status(), 431);
+        assert_eq!(parse_buf(big_header.as_bytes()).unwrap_err().status(), 431);
         let many = format!(
             "GET / HTTP/1.1\r\n{}",
             (0..70)
                 .map(|i| format!("X-H{i}: v\r\n"))
                 .collect::<String>()
         );
-        assert_eq!(scan(many.as_bytes()).unwrap_err().status(), 431);
+        assert_eq!(parse_buf(many.as_bytes()).unwrap_err().status(), 431);
         // Exactly at the limit is still fine.
         let at_limit = format!("GET /{}", "a".repeat(8 * 1024 - 5));
-        assert_eq!(scan(at_limit.as_bytes()).unwrap(), ScanStatus::PartialHead);
+        assert_eq!(pending(at_limit.as_bytes()), Pending::Head);
     }
 
     #[test]
-    fn scan_takes_the_first_content_length_like_the_parser() {
+    fn the_first_content_length_wins() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\nhi";
-        assert_eq!(
-            scan(raw).unwrap(),
-            ScanStatus::Complete {
-                total_len: raw.len()
-            }
-        );
+        let Ok(Parsed::Complete(req, len)) = parse_buf(raw) else {
+            panic!("the first Content-Length frames the body");
+        };
+        assert_eq!((len, &req.body[..]), (raw.len(), &b"hi"[..]));
     }
 
     #[test]
     fn responses_serialize_with_exact_framing() {
-        let mut buf = Vec::new();
-        Response::json(200, "{\"ok\":true}".to_string())
-            .write_to(&mut buf)
-            .unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let bytes = Response::json(200, "{\"ok\":true}".to_string()).to_bytes();
+        let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));

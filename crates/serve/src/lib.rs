@@ -7,23 +7,22 @@
 //! |---|---|
 //! | `POST /attribute?year=Y` | C++ source in, ranked author/ChatGPT verdict with probabilities out |
 //! | `POST /transform?year=Y&mode=nct\|ct&steps=N&seed=S` | the simulated ChatGPT transformation chain |
-//! | `GET /healthz` | breaker state, cache/batch/traffic counters, connection gauges, per-cause close counters, drain state |
+//! | `GET /healthz` | breaker state, cache/traffic counters, connection gauges, per-cause close counters, drain state |
 //!
 //! Architecture, bottom-up:
 //!
-//! * [`http`] — a defensive HTTP/1.1 parser and response writer over
-//!   any `BufRead`, with hard limits on every dimension an attacker
-//!   controls (request-line length, header count/size, body size) and
-//!   explicit timeout mapping, so slow-loris and byte-soup inputs
-//!   degrade to 4xx/close — never a panic or a hang.
+//! * [`http`] — one defensive HTTP/1.1 request parser over a byte
+//!   buffer (with a `BufRead` adapter) and the response writer, with
+//!   hard limits on every dimension an attacker controls (request-line
+//!   length, header count/size, body size), so slow-loris and
+//!   byte-soup inputs degrade to 4xx/close — never a panic or a hang.
+//!   The parser reports the first defect in wire order.
 //! * [`json`] — write-only JSON with shortest-round-trip float
 //!   formatting, the property that makes response bodies byte-stable.
 //! * [`registry`] — per-year models trained **once** through the exact
 //!   offline pipeline code path ([`synthattr_core::pipeline::year_oracle`])
-//!   and shared `Arc`-style across workers.
-//! * [`batch`] — micro-batching: concurrent `/attribute` requests
-//!   coalesce into single `predict_proba_batch` calls under a
-//!   deadline; the policy core is pure and clock-explicit.
+//!   and shared `Arc`-style across workers; `/attribute` predicts its
+//!   one row on the worker that parsed the request.
 //! * [`limit`] — per-client token buckets built by running the fault
 //!   layer's [`synthattr_faults::RetryBudget`] in reverse.
 //! * [`conn`] — the connection-survivability policy core: per-
@@ -36,7 +35,8 @@
 //! * [`server`] — non-blocking accept plus a worker **rotation loop**
 //!   over [`synthattr_util::pool::WorkQueue`]: workers park
 //!   connections that yield no bytes instead of camping on them, so
-//!   hostile connections hold sockets, never threads; a
+//!   hostile connections hold sockets, never threads; serving and
+//!   draining take requests off a connection through one intake; a
 //!   [`synthattr_faults::CircuitBreaker`] guards the transform engine
 //!   and surfaces on `/healthz` as `ok`/`degraded`/`draining`.
 //! * [`client`] — the minimal blocking client the e2e tests and
@@ -47,13 +47,12 @@
 //! `tests/serve_e2e.rs`: a served `/attribute` response is
 //! **byte-identical** to what the offline pipeline's oracle produces
 //! for the same source, at any worker count and client concurrency —
-//! batching, caching, and connection rotation change scheduling,
-//! never results. The survivability claims get their own live-TCP
-//! proof in `tests/serve_chaos.rs` (hostile traffic from
+//! caching and connection rotation change scheduling, never results.
+//! The survivability claims get their own live-TCP proof in
+//! `tests/serve_chaos.rs` (hostile traffic from
 //! `synthattr_faults::TrafficProfile`) and `tests/serve_drain.rs`
 //! (shutdown racing pipelined bursts drops zero responses).
 
-pub mod batch;
 pub mod client;
 pub mod conn;
 pub mod drain;
@@ -63,7 +62,6 @@ pub mod limit;
 pub mod registry;
 pub mod server;
 
-pub use batch::{BatchConfig, BatchQueue, MicroBatcher};
 pub use client::{Client, ClientResponse};
 pub use conn::{CloseCause, ConnGauge, ConnPolicy, Phase, Verdict};
 pub use drain::{DrainState, DrainStats};

@@ -9,10 +9,13 @@
 //! connection, reads whatever it has to offer without blocking,
 //! serves every complete pipelined request, and *parks the
 //! connection back* the moment it stops yielding bytes — so a
-//! slow-loris army holds open sockets, never worker threads. Budgets
-//! ([`crate::conn::ConnPolicy`]: lifetime idle budget, header/body
-//! progress deadlines, max requests per connection) are enforced by
-//! the clock-explicit [`crate::conn::ConnGauge`] core; shutdown is a
+//! slow-loris army holds open sockets, never worker threads. Each
+//! request is parsed once, off the connection's buffer, by
+//! [`crate::http::parse_request`], through one intake both the serving
+//! loop and the drain use. Budgets ([`crate::conn::ConnPolicy`]:
+//! lifetime idle budget, header/body progress deadlines, max requests
+//! per connection) are enforced by the clock-explicit
+//! [`crate::conn::ConnGauge`] core; shutdown is a
 //! graceful drain ([`crate::drain`]): stop accepting, answer every
 //! in-flight request with `Connection: close` on the final response,
 //! force-close stragglers only at a hard deadline, and report
@@ -26,20 +29,21 @@
 //! Endpoints:
 //!
 //! * `POST /attribute?year=Y` — body: raw C++ source (`text/plain`);
-//!   response: the oracle's ranked author verdict with probabilities.
+//!   response: the oracle's ranked author verdict with probabilities,
+//!   predicted on the worker that parsed the request.
 //! * `POST /transform?year=Y&mode=nct|ct&steps=N&seed=S` — body: seed
 //!   source; response: the simulated ChatGPT transformation chain.
 //! * `GET /healthz` — circuit-breaker state, cache hit/eviction rates,
-//!   registry load state, batching, traffic, connection gauges,
-//!   per-cause close counters, and the drain state.
+//!   registry load state, traffic, connection gauges, per-cause close
+//!   counters, and the drain state.
 //!
 //! Determinism: attribution is a pure function of (year, body) — the
 //! registry trains through the offline pipeline's code path, feature
-//! extraction is cached but pure, and batching only groups pure
-//! per-row predictions — so responses are byte-identical across
-//! worker counts, client counts, rotation schedules, and restarts.
+//! extraction is cached but pure, and prediction is per row — so
+//! responses are byte-identical across worker counts, client counts,
+//! rotation schedules, and restarts.
 
-use std::io::{self, Cursor, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,10 +60,9 @@ use synthattr_gpt::transform::Transformer;
 use synthattr_gpt::GptError;
 use synthattr_util::{pool, pool::WorkQueue, Pcg64};
 
-use crate::batch::{BatchConfig, MicroBatcher};
 use crate::conn::{CloseCause, ConnCounters, ConnGauge, ConnPolicy, Verdict};
 use crate::drain::{DrainState, DrainStats};
-use crate::http::{read_request, scan_request, HttpError, Limits, Request, Response, ScanStatus};
+use crate::http::{parse_request, HttpError, Limits, Parsed, Pending, Request, Response};
 use crate::json;
 use crate::limit::{RateConfig, RateLimiter};
 use crate::registry::ModelRegistry;
@@ -67,6 +70,14 @@ use crate::registry::ModelRegistry;
 /// Upper bound on `steps` per `/transform` call, so one request cannot
 /// monopolize a worker.
 const MAX_TRANSFORM_STEPS: usize = 64;
+
+/// Requests served per drive slice before the connection is parked
+/// again, so one pipelining client cannot monopolize a worker.
+const MAX_REQUESTS_PER_SLICE: u32 = 32;
+
+/// Cap on the exponential back-off a worker sleeps after an
+/// unproductive sweep of the parked set, bounding idle spin.
+const ROTATION_BACKOFF_MS: u64 = 5;
 
 /// Server tuning.
 #[derive(Debug, Clone)]
@@ -81,14 +92,12 @@ pub struct ServeConfig {
     pub workers: Option<usize>,
     /// Capacity of the shared artifact LRU.
     pub cache_capacity: usize,
-    /// Micro-batching policy for `/attribute`.
-    pub batch: BatchConfig,
     /// Per-client rate limits (`None` disables limiting).
     pub rate: Option<RateConfig>,
     /// Circuit-breaker tuning for the transform engine.
     pub breaker: BreakerConfig,
-    /// Per-connection budgets and rotation tuning — the slow-loris,
-    /// staller, and zombie bounds.
+    /// Per-connection budgets — the slow-loris, staller, and zombie
+    /// bounds.
     pub conn: ConnPolicy,
     /// Hard deadline for the graceful drain, ms: connections still
     /// open this long after `shutdown()` are force-closed.
@@ -108,7 +117,6 @@ impl ServeConfig {
             years: vec![2017, 2018, 2019],
             workers: None,
             cache_capacity: 256,
-            batch: BatchConfig::default(),
             rate: Some(RateConfig::default()),
             breaker: BreakerConfig::default(),
             conn: ConnPolicy::default(),
@@ -153,7 +161,6 @@ pub struct ServeStats {
 pub struct ServerState {
     config: ServeConfig,
     registry: ModelRegistry,
-    batchers: Mutex<std::collections::HashMap<u32, Arc<MicroBatcher>>>,
     cache: Mutex<ArtifactCache>,
     limiter: Option<Mutex<RateLimiter>>,
     breaker: Mutex<CircuitBreaker>,
@@ -176,7 +183,6 @@ impl ServerState {
             cache: Mutex::new(ArtifactCache::bounded(config.cache_capacity)),
             limiter: config.rate.clone().map(|r| Mutex::new(RateLimiter::new(r))),
             breaker: Mutex::new(CircuitBreaker::new(config.breaker.clone())),
-            batchers: Mutex::new(std::collections::HashMap::new()),
             stats: ServeStats::default(),
             conns: ConnCounters::default(),
             drain: DrainState::new(config.drain_deadline_ms),
@@ -229,15 +235,6 @@ impl ServerState {
     /// Milliseconds since the server started — the limiter's clock.
     fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
-    }
-
-    /// The per-year batcher, created on first use.
-    fn batcher(&self, year: u32) -> Option<Arc<MicroBatcher>> {
-        let model = self.registry.get(year)?;
-        let mut batchers = self.batchers.lock().expect("batchers poisoned");
-        Some(Arc::clone(batchers.entry(year).or_insert_with(|| {
-            Arc::new(MicroBatcher::new(model, self.config.batch.clone()))
-        })))
     }
 
     /// Routes one parsed request. Pure of the transport: no socket in
@@ -342,8 +339,8 @@ impl ServerState {
         // and labels are computed from each year's forest below — never
         // from the artifact's per-model label slot.
         let artifact = self.cache.lock().expect("cache poisoned").intern(source);
-        let features = match artifact.features(model.model.extractor()) {
-            Ok(f) => f.to_vec(),
+        let proba = match artifact.features(model.model.extractor()) {
+            Ok(features) => model.model.forest().predict_proba(features),
             Err(e) => {
                 return Response::json(
                     422,
@@ -355,17 +352,6 @@ impl ServerState {
                 )
             }
         };
-
-        let batcher = match self.batcher(model.year) {
-            Some(b) => b,
-            None => {
-                return Response::json(
-                    500,
-                    format!("{{\"error\":{}}}", json::string("registry lost a year")),
-                )
-            }
-        };
-        let proba = batcher.submit(features);
         self.stats.attribute_ok.fetch_add(1, Ordering::Relaxed);
         Response::json(200, attribution_body(model.year, &proba))
     }
@@ -524,17 +510,6 @@ impl ServerState {
         );
         drop(cache);
 
-        let (batches, batched_rows, max_batch) = {
-            let batchers = self.batchers.lock().expect("batchers poisoned");
-            batchers.values().fold((0u64, 0u64, 0u64), |acc, b| {
-                let s = b.stats();
-                (
-                    acc.0 + s.batches.load(Ordering::Relaxed),
-                    acc.1 + s.rows.load(Ordering::Relaxed),
-                    acc.2.max(s.max_batch_seen.load(Ordering::Relaxed)),
-                )
-            })
-        };
         let (rate_clients, rate_rejected) = match &self.limiter {
             None => (0, 0),
             Some(l) => {
@@ -559,7 +534,6 @@ impl ServerState {
         let body = format!(
             "{{\"status\":{},\"drain_state\":{},\"uptime_ms\":{},\"years\":{},\"loaded\":{},\
              \"breaker\":{},\"cache\":{},\
-             \"batch\":{{\"batches\":{},\"rows\":{},\"max_batch\":{}}},\
              \"rate\":{{\"clients\":{},\"rejected\":{}}},\
              {},\
              \"requests\":{{\"total\":{},\"attribute_ok\":{},\"transform_ok\":{},\"healthz\":{},\
@@ -571,9 +545,6 @@ impl ServerState {
             json::array(self.registry.loaded().iter().map(|y| y.to_string())),
             breaker_json,
             cache_json,
-            batches,
-            batched_rows,
-            max_batch,
             rate_clients,
             rate_rejected,
             connections_json,
@@ -862,14 +833,42 @@ impl DriveOutcome {
     }
 }
 
-/// Counts and queues the error response for a failed request read,
-/// with the same accounting the blocking loop used.
-fn enqueue_error(state: &ServerState, conn: &mut Conn, err: &HttpError) {
-    if err.status() != 0 {
-        state.stats.requests.fetch_add(1, Ordering::Relaxed);
-        state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-        conn.enqueue(&Response::from_error(err));
-    }
+/// What the front of a connection's buffer yielded.
+enum Intake {
+    /// A complete request; its bytes are consumed.
+    Request(Request),
+    /// The error response for a defective or truncated request, already
+    /// counted; the buffer is cleared, because framing is gone.
+    Reject(Response),
+    /// No complete request yet; how far the next one got.
+    Pending(Pending),
+}
+
+/// Counts a request refused before routing and builds its error
+/// response.
+fn reject(state: &ServerState, err: &HttpError) -> Response {
+    state.stats.requests.fetch_add(1, Ordering::Relaxed);
+    state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
+    Response::from_error(err)
+}
+
+/// Takes the next request off the front of `conn.buf`: the one intake
+/// of both the serving loop and the drain. After EOF, a request that
+/// started but can never complete is answered as a truncation.
+fn take_request(state: &ServerState, conn: &mut Conn) -> Intake {
+    let err = match parse_request(&conn.buf, &state.config.limits) {
+        Ok(Parsed::Complete(request, len)) => {
+            conn.buf.drain(..len);
+            return Intake::Request(request);
+        }
+        Ok(Parsed::Incomplete(pending)) => match pending.truncation() {
+            Some(err) if conn.eof => err,
+            _ => return Intake::Pending(pending),
+        },
+        Err(err) => err,
+    };
+    conn.buf.clear();
+    Intake::Reject(reject(state, &err))
 }
 
 /// Drives one connection for one slice: flush what we owe, serve every
@@ -881,7 +880,6 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
         return DriveOutcome::close(cause, true);
     }
     let policy = &state.config.conn;
-    let limits = &state.config.limits;
     let mut productive = false;
 
     // A previously blocked response write gets first claim on the
@@ -917,49 +915,32 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
     loop {
         // Serve every complete request already buffered (pipelining),
         // up to the fairness cap.
-        while conn.close_after_write.is_none() && served_in_slice < policy.max_requests_per_slice {
-            match scan_request(&conn.buf, limits) {
-                Err(err) => {
-                    // Over-limit mid-line: decidable without more
-                    // bytes. Answer and close; framing is gone.
-                    enqueue_error(state, conn, &err);
-                    conn.buf.clear();
+        while conn.close_after_write.is_none() && served_in_slice < MAX_REQUESTS_PER_SLICE {
+            match take_request(state, conn) {
+                Intake::Request(req) => {
+                    let mut response = state.handle_request(&req);
+                    let exhausted = conn.gauge.request_served(policy, state.now_ms());
+                    if !req.keep_alive {
+                        response.close = true;
+                        conn.close_after_write
+                            .get_or_insert(CloseCause::ClientClose);
+                    }
+                    if exhausted {
+                        response.close = true;
+                        conn.close_after_write
+                            .get_or_insert(CloseCause::MaxRequests);
+                    }
+                    conn.enqueue(&response);
+                    served_in_slice += 1;
+                    productive = true;
+                }
+                Intake::Reject(response) => {
+                    conn.enqueue(&response);
                     conn.close_after_write = Some(CloseCause::BadRequest);
                     productive = true;
                 }
-                Ok(ScanStatus::Complete { total_len }) => {
-                    let request_bytes: Vec<u8> = conn.buf.drain(..total_len).collect();
-                    match read_request(&mut Cursor::new(&request_bytes[..]), limits) {
-                        Ok(Some(req)) => {
-                            let mut response = state.handle_request(&req);
-                            let exhausted = conn.gauge.request_served(policy, state.now_ms());
-                            if !req.keep_alive {
-                                response.close = true;
-                                conn.close_after_write
-                                    .get_or_insert(CloseCause::ClientClose);
-                            }
-                            if exhausted {
-                                response.close = true;
-                                conn.close_after_write
-                                    .get_or_insert(CloseCause::MaxRequests);
-                            }
-                            conn.enqueue(&response);
-                            served_in_slice += 1;
-                            productive = true;
-                        }
-                        Ok(None) => {
-                            conn.close_after_write = Some(CloseCause::PeerClosed);
-                        }
-                        Err(err) => {
-                            enqueue_error(state, conn, &err);
-                            conn.buf.clear();
-                            conn.close_after_write = Some(CloseCause::BadRequest);
-                            productive = true;
-                        }
-                    }
-                }
-                Ok(status) => {
-                    conn.gauge.observe_scan(status, state.now_ms());
+                Intake::Pending(pending) => {
+                    conn.gauge.observe(pending, state.now_ms());
                     break;
                 }
             }
@@ -983,25 +964,14 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
         if let Some(cause) = conn.close_after_write {
             return DriveOutcome::close(cause, productive);
         }
-        if served_in_slice >= policy.max_requests_per_slice {
+        if served_in_slice >= MAX_REQUESTS_PER_SLICE {
             // Fairness: a hot pipelining peer yields the worker.
             return DriveOutcome::park(productive);
         }
         if conn.eof {
-            if conn.buf.is_empty() {
-                return DriveOutcome::close(CloseCause::PeerClosed, productive);
-            }
-            // Bytes remain but no complete request ever will: let the
-            // authoritative parser name the truncation, answer it, and
-            // close through the flush path above.
-            let err = match read_request(&mut Cursor::new(&conn.buf[..]), limits) {
-                Err(err) => err,
-                Ok(_) => HttpError::BadRequest("truncated request"),
-            };
-            enqueue_error(state, conn, &err);
-            conn.buf.clear();
-            conn.close_after_write = Some(CloseCause::BadRequest);
-            continue;
+            // The intake answered any request the EOF cut short, so the
+            // peer closed between requests.
+            return DriveOutcome::close(CloseCause::PeerClosed, productive);
         }
 
         // Pull whatever the socket has.
@@ -1022,7 +992,7 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
                     // A mid-request stall earns its 408 (best effort —
                     // the peer is hostile by definition here).
                     if matches!(cause, CloseCause::HeaderStall | CloseCause::BodyStall) {
-                        enqueue_error(state, conn, &HttpError::Timeout);
+                        conn.enqueue(&reject(state, &HttpError::Timeout));
                         let _ = flush(conn);
                     }
                 }
@@ -1042,7 +1012,6 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
 /// final response `Connection: close`, flush with the hard deadline
 /// as the bound, and report how the connection ended.
 fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
-    let limits = &state.config.limits;
     let mut responses: Vec<Response> = Vec::new();
     let mut hostile = false;
     let mut forced = false;
@@ -1051,48 +1020,14 @@ fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
             forced = true;
             break;
         }
-        match scan_request(&conn.buf, limits) {
-            Err(err) => {
-                if err.status() != 0 {
-                    state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-                    responses.push(Response::from_error(&err));
-                }
-                conn.buf.clear();
+        match take_request(state, conn) {
+            Intake::Request(req) => responses.push(state.handle_request(&req)),
+            Intake::Reject(response) => {
+                responses.push(response);
                 break;
             }
-            Ok(ScanStatus::Complete { total_len }) => {
-                let request_bytes: Vec<u8> = conn.buf.drain(..total_len).collect();
-                match read_request(&mut Cursor::new(&request_bytes[..]), limits) {
-                    Ok(Some(req)) => responses.push(state.handle_request(&req)),
-                    Ok(None) => break,
-                    Err(err) => {
-                        if err.status() != 0 {
-                            state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                            state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-                            responses.push(Response::from_error(&err));
-                        }
-                        conn.buf.clear();
-                        break;
-                    }
-                }
-            }
-            Ok(ScanStatus::Empty) => break,
-            Ok(ScanStatus::PartialHead) | Ok(ScanStatus::NeedBody { .. }) => {
-                if conn.eof {
-                    // The rest of this request is never coming.
-                    let err = match read_request(&mut Cursor::new(&conn.buf[..]), limits) {
-                        Err(err) => err,
-                        Ok(_) => HttpError::BadRequest("truncated request"),
-                    };
-                    if err.status() != 0 {
-                        state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                        state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-                        responses.push(Response::from_error(&err));
-                    }
-                    conn.buf.clear();
-                    break;
-                }
+            Intake::Pending(Pending::Empty) => break,
+            Intake::Pending(Pending::Head | Pending::Body) => {
                 // An in-flight request: poll briefly for bytes already
                 // on the wire. New requests are not waited for — only
                 // started ones are finished.
@@ -1153,9 +1088,8 @@ fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
 /// One rotation worker: pop a parked connection, drive it for a
 /// slice, park it back or retire it, and back off exponentially when
 /// a full sweep of the open set yields nothing (bounding idle spin at
-/// [`ConnPolicy::rotation_backoff_ms`] per sweep).
+/// [`ROTATION_BACKOFF_MS`] per sweep).
 fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>) {
-    let backoff_cap = state.config.conn.rotation_backoff_ms.max(1);
     let mut idle_streak: u64 = 0;
     let mut backoff_ms: u64 = 1;
     while let Some(mut conn) = queue.pop() {
@@ -1194,7 +1128,7 @@ fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>) {
                 // A whole sweep with no progress: sleep instead of
                 // spinning the park/pop cycle.
                 std::thread::sleep(Duration::from_millis(backoff_ms));
-                backoff_ms = (backoff_ms * 2).min(backoff_cap);
+                backoff_ms = (backoff_ms * 2).min(ROTATION_BACKOFF_MS);
                 idle_streak = 0;
             }
         }
@@ -1386,13 +1320,15 @@ mod tests {
             SOURCE,
         ));
         assert_eq!(bad_mode.status, 400);
-        let bad_steps = s.handle_request(&req(
-            "POST",
-            "/transform",
-            &[("year", "2018"), ("steps", "0")],
-            SOURCE,
-        ));
-        assert_eq!(bad_steps.status, 400);
+        for steps in ["0", "65", "99999999999999999999"] {
+            let bad_steps = s.handle_request(&req(
+                "POST",
+                "/transform",
+                &[("year", "2018"), ("steps", steps)],
+                SOURCE,
+            ));
+            assert_eq!(bad_steps.status, 400, "steps={steps}");
+        }
     }
 
     #[test]

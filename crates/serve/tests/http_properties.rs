@@ -277,6 +277,31 @@ fn live_server_rejects_oversized_requests() {
     server.shutdown();
 }
 
+/// A defective line followed by an over-limit one is a 400 for the
+/// defect, not a 431 for the later oversize: the server reports the
+/// first defect in wire order, whether or not the over-limit line has
+/// ended.
+#[test]
+fn live_server_reports_the_first_defect_in_wire_order() {
+    let server = hardened_server();
+    let headers: String = (0..20).map(|i| format!("X-H{i}: v\r\n")).collect();
+    for payload in [
+        format!("GET / HTTP/1.1\r\nnocolon\r\nX: {}", "b".repeat(2048)),
+        format!("get / http/1.1\r\n{headers}"),
+        format!("GET / HTTP/1.1\r\nbad name: v\r\n{headers}"),
+    ] {
+        let reply = exchange_raw(&server, payload.as_bytes(), false);
+        assert!(
+            String::from_utf8_lossy(&reply).starts_with("HTTP/1.1 400"),
+            "{:?} got: {}",
+            &payload[..24],
+            String::from_utf8_lossy(&reply)
+        );
+    }
+    assert_alive(&server);
+    server.shutdown();
+}
+
 /// A truncated body (Content-Length promises more than arrives) is a
 /// 400, not a hang.
 #[test]

@@ -8,6 +8,9 @@
 //!
 //! # Contents
 //!
+//! * [`hash`] — 64-bit FNV-1a ([`hash::fnv1a`], [`hash::Fnv64`]), the
+//!   one stable hash behind content addresses, structural hashes,
+//!   seed derivation, feature buckets and file checksums.
 //! * [`rng`] — a deterministic, seedable PRNG ([`rng::Pcg64`]) plus
 //!   hierarchical seed derivation so that independent experiment arms
 //!   never share random streams.
@@ -33,6 +36,7 @@
 //! assert!((0.0..1.0).contains(&x));
 //! ```
 
+pub mod hash;
 pub mod json;
 pub mod pool;
 pub mod prop;

@@ -46,6 +46,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -93,7 +94,8 @@ where
 }
 
 /// Order-preserving parallel map on exactly `workers` threads
-/// (clamped to the item count; `1` runs inline on the caller).
+/// (clamped to the item count; `1` runs inline on the caller): the
+/// infallible case of [`parallel_try_map_workers`].
 ///
 /// Output index `i` always holds `f(items[i])`.
 pub fn parallel_map_workers<I, O, F>(workers: usize, items: Vec<I>, f: F) -> Vec<O>
@@ -102,71 +104,8 @@ where
     O: Send,
     F: Fn(I) -> O + Sync,
 {
-    let n = items.len();
-    let workers = workers.max(1).min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        // Serial fallback: identical semantics, zero thread overhead.
-        return items.into_iter().map(f).collect();
-    }
-
-    // Input slots: each index is claimed by exactly one worker via the
-    // cursor, taken under a short-lived per-slot lock.
-    let input: Vec<Mutex<Option<I>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let output: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                if start >= n {
-                    return;
-                }
-                for i in start..(start + CHUNK).min(n) {
-                    if poisoned.load(Ordering::Relaxed) {
-                        // A sibling panicked: drain without running f.
-                        continue;
-                    }
-                    let item = input[i]
-                        .lock()
-                        .expect("pool input slot poisoned")
-                        .take()
-                        .expect("pool input slot claimed twice");
-                    match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                        Ok(out) => {
-                            *output[i].lock().expect("pool output slot poisoned") = Some(out);
-                        }
-                        Err(payload) => {
-                            poisoned.store(true, Ordering::Relaxed);
-                            let mut slot = panic_payload.lock().expect("pool panic slot poisoned");
-                            // Keep the first payload; later ones are
-                            // cascade noise.
-                            slot.get_or_insert(payload);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(payload) = panic_payload
-        .into_inner()
-        .expect("pool panic slot poisoned")
-    {
-        resume_unwind(payload);
-    }
-
-    output
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .expect("pool output slot poisoned")
-                .unwrap_or_else(|| panic!("work item {i} produced no result"))
-        })
-        .collect()
+    let Ok(out) = parallel_try_map_workers(workers, items, |item| Ok::<O, Infallible>(f(item)));
+    out
 }
 
 /// Fallible order-preserving parallel map with the ambient worker

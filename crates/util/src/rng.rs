@@ -13,6 +13,10 @@
 //! yields an independent stream, so adding a new experiment arm never
 //! perturbs the randomness of existing arms.
 
+use std::hash::Hasher;
+
+use crate::hash::{Fnv64, FNV_OFFSET};
+
 /// Multiplier for the 128-bit PCG LCG step (from the PCG reference
 /// implementation).
 const PCG_MUL: u128 = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645;
@@ -66,25 +70,15 @@ impl Pcg64 {
     /// assert_ne!(x.next_u64(), y.next_u64());
     /// ```
     pub fn seed_from(root: u64, path: &[&str]) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ root;
-        for label in path {
-            // Separator byte keeps ["a","b"] distinct from ["ab"].
-            h = fnv1a_step(h, &[0x1f]);
-            h = fnv1a_step(h, label.as_bytes());
-        }
-        Pcg64::new(h)
+        Pcg64::new(fold_labels(Fnv64(FNV_OFFSET ^ root), path))
     }
 
     /// Derives a child generator labelled by `path`, leaving `self`
     /// untouched. Useful for handing independent streams to parallel
     /// workers.
     pub fn fork(&self, path: &[&str]) -> Self {
-        let mut h = (self.state >> 64) as u64 ^ self.state as u64;
-        for label in path {
-            h = fnv1a_step(h, &[0x1f]);
-            h = fnv1a_step(h, label.as_bytes());
-        }
-        Pcg64::new(h)
+        let state = (self.state >> 64) as u64 ^ self.state as u64;
+        Pcg64::new(fold_labels(Fnv64(state), path))
     }
 
     #[inline]
@@ -216,13 +210,15 @@ impl Pcg64 {
     }
 }
 
+/// Folds a label path into `h`, FNV-1a style.
 #[inline]
-fn fnv1a_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+fn fold_labels(mut h: Fnv64, path: &[&str]) -> u64 {
+    for label in path {
+        // Separator byte keeps ["a","b"] distinct from ["ab"].
+        h.write(&[0x1f]);
+        h.write(label.as_bytes());
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

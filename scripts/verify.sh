@@ -7,7 +7,8 @@
 # error instead of hanging on an unreachable index.
 #
 # Usage:
-#   scripts/verify.sh                 # tier-1: build + tests
+#   scripts/verify.sh                 # tier-1: build + tests, then a
+#                                     #   release build of e2ebench
 #   scripts/verify.sh --lint          # tier-1 + warnings-as-errors build
 #                                     #   + corpus lint (all three years)
 #   scripts/verify.sh --chaos         # tier-1 + the fault-injection
@@ -86,6 +87,13 @@ cargo test -q --offline
 # worker-count determinism, ...).
 echo "== extended: cargo test -q --workspace (offline) ==" >&2
 cargo test -q --offline --workspace
+
+# The benchmark (BENCHMARK.json, e2ebench/) is its own workspace that
+# imports the crates' public API. Building it here makes a library
+# change that breaks one of its imports fail verify, not the benchmark
+# run.
+echo "== extended: cargo build --release e2ebench (offline) ==" >&2
+cargo build --release --offline --quiet --manifest-path e2ebench/Cargo.toml
 
 if [[ "$LINT" == "1" ]]; then
   echo "== lint: cargo build --release with -D warnings ==" >&2

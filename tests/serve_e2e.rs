@@ -82,7 +82,7 @@ fn served_attribution_is_byte_identical_to_the_offline_pipeline() {
     let sources = sources();
     let expected = offline_expected(&sources);
 
-    // worker counts × client counts: batching, queueing, and cache
+    // worker counts × client counts: queueing, rotation, and cache
     // sharing change scheduling, never bytes.
     for workers in [1usize, 4] {
         let server = spawn(workers);
