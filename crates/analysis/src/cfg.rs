@@ -8,7 +8,7 @@
 //! resolver's view of the program:
 //!
 //! * **Variable identity is scope-precise.** A scope stack identical to
-//!   [`crate::resolve`]'s (params share the body's top-level scope, the
+//!   [`crate::resolve()`]'s (params share the body's top-level scope, the
 //!   `for`-init scope encloses cond/step/body, the range-`for` variable
 //!   scopes to the body) maps each mention to a distinct [`VarId`], so
 //!   shadowed names never alias.

@@ -5,7 +5,7 @@
 //! rewrite preserves program semantics — into a checked invariant.
 //! It provides three layers:
 //!
-//! - [`resolve`]: a block-scoped symbol resolver that binds every
+//! - [`mod@resolve`]: a block-scoped symbol resolver that binds every
 //!   identifier use to its declaration (params, for-init declarations,
 //!   typedef/`using` aliases, `#define` macros, and the std names
 //!   implied by includes / `using namespace std`).
@@ -13,11 +13,11 @@
 //!   severity-tagged [`Diagnostic`]s. Five built-in passes detect
 //!   undeclared identifiers, duplicate declarations, shadowing, unused
 //!   variables, and unreachable code after `return`/`break`/`continue`.
-//! - [`fingerprint`]: a normalized AST hash that quotients out names,
+//! - [`mod@fingerprint`]: a normalized AST hash that quotients out names,
 //!   layout, loop form, compound-assignment sugar, IO idiom and helper
 //!   outlining, so `fingerprint(c0) == fingerprint(GPT(c0))` is
 //!   assertable for every transform the simulator performs.
-//! - [`cfg`] and [`dataflow`]: per-function control-flow graphs and a
+//! - [`mod@cfg`] and [`dataflow`]: per-function control-flow graphs and a
 //!   worklist fixed-point framework (reaching definitions, liveness,
 //!   definite-uninitialization, constant propagation) powering the
 //!   `use-before-init`/`dead-store` passes and the `df.*` attribution

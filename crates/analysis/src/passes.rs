@@ -43,7 +43,7 @@ pub struct Diagnostic {
     pub pass: &'static str,
     /// Severity of the finding.
     pub severity: Severity,
-    /// Structural path of the offending node (see [`crate::resolve`]).
+    /// Structural path of the offending node (see [`mod@crate::resolve`]).
     pub site: String,
     /// Human-readable description.
     pub message: String,

@@ -5,9 +5,9 @@
 //! then the lint gate, the semantic fingerprint, the fault-layer
 //! response validator, and the feature extractor each re-parsed the
 //! identical rendered text. An [`Artifact`] ties one source text to
-//! every frontend product derived from it — token stream, AST,
-//! diagnostics, fingerprint, feature vector, oracle label — each
-//! materialised lazily and **at most once**. An [`ArtifactCache`]
+//! every frontend product the pipeline reads from it — AST,
+//! diagnostics, feature vector, oracle label — each materialised
+//! lazily and **at most once**. An [`ArtifactCache`]
 //! content-addresses artifacts by a 64-bit hash of the source bytes
 //! (with full-text collision verification), so two samples with
 //! identical text share one artifact and all of its products.
@@ -27,10 +27,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
-use synthattr_analysis::{fingerprint, Analyzer, Diagnostic};
+use synthattr_analysis::{Analyzer, Diagnostic};
 use synthattr_features::FeatureExtractor;
-use synthattr_lang::lexer::lex;
-use synthattr_lang::token::Token;
 use synthattr_lang::{parse, ParseError, TranslationUnit};
 
 use crate::model::AuthorshipModel;
@@ -50,10 +48,8 @@ pub fn content_hash(source: &str) -> u64 {
 #[derive(Debug)]
 pub struct Artifact {
     source: String,
-    tokens: OnceLock<Result<Vec<Token>, ParseError>>,
     unit: OnceLock<Result<TranslationUnit, ParseError>>,
     diagnostics: OnceLock<Arc<Vec<Diagnostic>>>,
-    fingerprint: OnceLock<u64>,
     features: OnceLock<Arc<Vec<f64>>>,
     oracle_label: OnceLock<usize>,
 }
@@ -63,10 +59,8 @@ impl Artifact {
     pub fn new(source: impl Into<String>) -> Self {
         Artifact {
             source: source.into(),
-            tokens: OnceLock::new(),
             unit: OnceLock::new(),
             diagnostics: OnceLock::new(),
-            fingerprint: OnceLock::new(),
             features: OnceLock::new(),
             oracle_label: OnceLock::new(),
         }
@@ -88,18 +82,6 @@ impl Artifact {
     /// The source text.
     pub fn source(&self) -> &str {
         &self.source
-    }
-
-    /// The token stream, lexed on first call.
-    ///
-    /// # Errors
-    ///
-    /// The lexer's [`ParseError`] if the text is outside the subset.
-    pub fn tokens(&self) -> Result<&[Token], ParseError> {
-        match self.tokens.get_or_init(|| lex(&self.source)) {
-            Ok(t) => Ok(t),
-            Err(e) => Err(e.clone()),
-        }
     }
 
     /// The AST, parsed on first call (or supplied at construction).
@@ -149,19 +131,6 @@ impl Artifact {
         }
         let unit = self.unit()?;
         Ok(self.diagnostics.get_or_init(|| compute(unit)))
-    }
-
-    /// The semantic fingerprint, computed on first call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Artifact::unit`]'s parse error.
-    pub fn fingerprint(&self) -> Result<u64, ParseError> {
-        if let Some(fp) = self.fingerprint.get() {
-            return Ok(*fp);
-        }
-        let unit = self.unit()?;
-        Ok(*self.fingerprint.get_or_init(|| fingerprint(unit)))
     }
 
     /// The stylometry feature vector, computed on first call.
@@ -279,7 +248,7 @@ impl FrontendStats {
 }
 
 /// One resident cache entry: the artifact plus the recency tick of its
-/// last access (ticks only maintained in bounded mode).
+/// last access.
 #[derive(Debug)]
 struct CacheEntry {
     artifact: Arc<Artifact>,
@@ -287,21 +256,15 @@ struct CacheEntry {
 }
 
 /// A content-addressed artifact cache: 64-bit source hash → artifacts,
-/// with full-text verification inside each bucket.
+/// with full-text verification inside each bucket, capped at a
+/// capacity with least-recently-used eviction.
 ///
-/// Two modes share one implementation:
-///
-/// * **Unbounded** ([`ArtifactCache::new`]) — the batch pipeline's
-///   per-dispatch-unit shards, whose population is bounded by
-///   construction (a challenge task sees ~`4 × transforms` distinct
-///   sources, then the shard is dropped).
-/// * **Bounded LRU** ([`ArtifactCache::bounded`]) — a capacity cap with
-///   least-recently-used eviction, for long-lived shared caches (the
-///   serving layer) where the request stream is unbounded. Eviction
-///   changes only *residency*, never *results*: a re-interned evicted
-///   source is a fresh miss that recomputes identical products
-///   (purity), and hit/miss totals are unchanged whenever capacity is
-///   at least the number of distinct live sources.
+/// The pipeline's per-dispatch-unit shards and the serving layer's
+/// long-lived shared cache both use it. Eviction changes only
+/// *residency*, never *results*: a re-interned evicted source is a
+/// fresh miss that recomputes identical products (purity), and while
+/// the capacity covers every distinct source, misses count the
+/// distinct sources and hits the requests beyond them.
 ///
 /// Recency is a monotonic access tick per entry plus a tick-ordered
 /// index, so both touch and evict are `O(log n)`.
@@ -309,16 +272,16 @@ struct CacheEntry {
 /// Not a global structure in the pipeline: one shard per dispatch unit
 /// (per human sample, per challenge task) keeps hit/miss totals a pure
 /// function of the inputs, never of scheduling.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ArtifactCache {
     buckets: HashMap<u64, Vec<CacheEntry>>,
-    /// `None` = unbounded; `Some(cap)` = LRU with at most `cap` entries.
-    capacity: Option<usize>,
+    /// At most this many entries stay resident.
+    capacity: usize,
     /// Resident entry count across all buckets.
     entries: usize,
     /// Monotonic access clock; bumped on every intern.
     tick: u64,
-    /// Recency index: access tick → bucket hash (bounded mode only).
+    /// Recency index: access tick → bucket hash.
     recency: BTreeMap<u64, u64>,
     hits: u64,
     misses: u64,
@@ -326,17 +289,18 @@ pub struct ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// An empty, unbounded cache.
-    pub fn new() -> Self {
-        ArtifactCache::default()
-    }
-
     /// An empty LRU cache holding at most `capacity` artifacts
     /// (clamped to at least 1).
     pub fn bounded(capacity: usize) -> Self {
         ArtifactCache {
-            capacity: Some(capacity.max(1)),
-            ..ArtifactCache::default()
+            buckets: HashMap::new(),
+            capacity: capacity.max(1),
+            entries: 0,
+            tick: 0,
+            recency: BTreeMap::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
 
@@ -371,7 +335,7 @@ impl ArtifactCache {
         self.misses
     }
 
-    /// Artifacts evicted by the LRU policy (always 0 when unbounded).
+    /// Artifacts evicted by the LRU policy.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -386,8 +350,8 @@ impl ArtifactCache {
         self.entries == 0
     }
 
-    /// The LRU capacity, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
+    /// The LRU capacity.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -403,26 +367,20 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up `source` and, in bounded mode, marks the entry
-    /// most-recently-used.
+    /// Looks up `source` and marks the entry most-recently-used.
     fn lookup_touch(&mut self, source: &str) -> Option<Arc<Artifact>> {
         let hash = content_hash(source);
         self.tick += 1;
         let new_tick = self.tick;
-        let bounded = self.capacity.is_some();
         let (artifact, old_tick) = {
             let bucket = self.buckets.get_mut(&hash)?;
             let entry = bucket.iter_mut().find(|e| e.artifact.source() == source)?;
             let old = entry.tick;
-            if bounded {
-                entry.tick = new_tick;
-            }
+            entry.tick = new_tick;
             (Arc::clone(&entry.artifact), old)
         };
-        if bounded {
-            self.recency.remove(&old_tick);
-            self.recency.insert(new_tick, hash);
-        }
+        self.recency.remove(&old_tick);
+        self.recency.insert(new_tick, hash);
         Some(artifact)
     }
 
@@ -436,18 +394,16 @@ impl ArtifactCache {
             tick,
         });
         self.entries += 1;
-        if let Some(cap) = self.capacity {
-            self.recency.insert(tick, hash);
-            // The fresh entry carries the newest tick, so with cap >= 1
-            // it is never the one evicted.
-            while self.entries > cap {
-                self.evict_lru();
-            }
+        self.recency.insert(tick, hash);
+        // The fresh entry carries the newest tick, so with capacity >= 1
+        // it is never the one evicted.
+        while self.entries > self.capacity {
+            self.evict_lru();
         }
         artifact
     }
 
-    /// Removes the least-recently-used entry (bounded mode only).
+    /// Removes the least-recently-used entry.
     fn evict_lru(&mut self) {
         let Some((&tick, &hash)) = self.recency.iter().next() else {
             return;
@@ -469,7 +425,8 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synthattr_analysis::{fingerprint_source, Analyzer};
+    use synthattr_analysis::Analyzer;
+    use synthattr_features::FeatureConfig;
 
     const SRC: &str = "int main() { int x = 0; x = x + 1; return 0; }";
 
@@ -485,13 +442,16 @@ mod tests {
     #[test]
     fn artifact_products_match_from_scratch_computation() {
         let analyzer = Analyzer::new();
+        let extractor = FeatureExtractor::new(FeatureConfig::default());
         let a = Artifact::new(SRC);
         assert_eq!(a.unit().unwrap(), &parse(SRC).unwrap());
-        assert_eq!(a.tokens().unwrap(), &lex(SRC).unwrap()[..]);
-        assert_eq!(a.fingerprint().unwrap(), fingerprint_source(SRC).unwrap());
         assert_eq!(
             a.diagnostics(&analyzer).unwrap(),
             &analyzer.analyze_source(SRC).unwrap()[..]
+        );
+        assert_eq!(
+            a.features(&extractor).unwrap().as_slice(),
+            &extractor.extract(SRC).unwrap()[..]
         );
     }
 
@@ -500,8 +460,12 @@ mod tests {
         let unit = parse(SRC).unwrap();
         let seeded = Artifact::with_unit(SRC, unit.clone());
         let fresh = Artifact::new(SRC);
+        let analyzer = Analyzer::new();
         assert_eq!(seeded.unit().unwrap(), fresh.unit().unwrap());
-        assert_eq!(seeded.fingerprint().unwrap(), fresh.fingerprint().unwrap());
+        assert_eq!(
+            seeded.diagnostics(&analyzer).unwrap(),
+            fresh.diagnostics(&analyzer).unwrap()
+        );
         assert_eq!(seeded.unit().unwrap(), &unit);
     }
 
@@ -517,14 +481,16 @@ mod tests {
     fn parse_errors_are_reported_and_sticky() {
         let a = Artifact::new("int main( {");
         assert!(a.unit().is_err());
-        assert!(a.fingerprint().is_err());
+        assert!(a
+            .features(&FeatureExtractor::new(FeatureConfig::default()))
+            .is_err());
         let analyzer = Analyzer::new();
         assert!(a.diagnostics(&analyzer).is_err());
     }
 
     #[test]
     fn cache_shares_identical_sources_and_counts() {
-        let mut cache = ArtifactCache::new();
+        let mut cache = ArtifactCache::bounded(4);
         let a = cache.intern(SRC);
         let b = cache.intern(SRC);
         let c = cache.intern("int main() { return 1; }");
@@ -537,7 +503,7 @@ mod tests {
 
     #[test]
     fn intern_with_unit_dedups_against_plain_interns() {
-        let mut cache = ArtifactCache::new();
+        let mut cache = ArtifactCache::bounded(4);
         let a = cache.intern(SRC);
         let b = cache.intern_with_unit(SRC, parse(SRC).unwrap());
         assert!(Arc::ptr_eq(&a, &b));
@@ -586,44 +552,42 @@ mod tests {
     fn eviction_changes_residency_never_results() {
         // Purity across churn: an evicted-and-reinterned source yields
         // a fresh artifact whose products equal the original's.
+        let analyzer = Analyzer::new();
         let mut cache = ArtifactCache::bounded(1);
         let first = cache.intern(SRC);
-        let fp = first.fingerprint().unwrap();
+        let diags = first.diagnostics(&analyzer).unwrap().to_vec();
         cache.intern(&source(7)); // evicts SRC
         let again = cache.intern(SRC);
         assert!(!Arc::ptr_eq(&first, &again), "distinct storage after churn");
-        assert_eq!(again.fingerprint().unwrap(), fp);
+        assert_eq!(again.diagnostics(&analyzer).unwrap(), &diags[..]);
         assert_eq!(again.unit().unwrap(), first.unit().unwrap());
     }
 
     #[test]
-    fn generous_capacity_matches_unbounded_hit_miss_semantics() {
-        // The same access sequence (with repeats) through an unbounded
-        // cache and a bounded one whose capacity covers every distinct
-        // source must produce identical counters and zero evictions.
+    fn generous_capacity_counts_each_distinct_source_as_one_miss() {
+        // An access sequence (with repeats) through a cache whose
+        // capacity covers every distinct source evicts nothing, so
+        // misses = distinct texts and hits = requests - misses.
         let sequence: Vec<String> = (0..30).map(|i| source(i % 10)).collect();
-        let mut unbounded = ArtifactCache::new();
-        let mut bounded = ArtifactCache::bounded(10);
+        let mut cache = ArtifactCache::bounded(10);
         for s in &sequence {
-            unbounded.intern(s);
-            bounded.intern(s);
+            cache.intern(s);
         }
-        assert_eq!(bounded.hits(), unbounded.hits());
-        assert_eq!(bounded.misses(), unbounded.misses());
-        assert_eq!(bounded.evictions(), 0);
-        assert_eq!(unbounded.evictions(), 0);
-        assert_eq!(bounded.stats(), unbounded.stats());
+        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.misses(), 10);
+        assert_eq!(cache.hits(), 30 - 10);
+        assert_eq!(cache.len(), 10);
     }
 
     #[test]
-    fn unbounded_cache_reports_len_and_no_capacity() {
-        let mut cache = ArtifactCache::new();
+    fn cache_reports_len_and_capacity() {
+        let mut cache = ArtifactCache::bounded(4);
         assert!(cache.is_empty());
         cache.intern(SRC);
         cache.intern(SRC);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.capacity(), None);
-        assert_eq!(ArtifactCache::bounded(0).capacity(), Some(1));
+        assert_eq!(cache.capacity(), 4);
+        assert_eq!(ArtifactCache::bounded(0).capacity(), 1);
     }
 
     #[test]

@@ -262,9 +262,9 @@ impl YearPipeline {
             // artifact ever parsed. A challenge interns well under
             // a hundred distinct texts (two seeds plus one per
             // transform step × setting), so at this capacity the
-            // bound is pure insurance: no eviction ever fires and
-            // hit/miss totals are identical to the unbounded cache
-            // (`tests/frontend_cache.rs` proves the equivalence).
+            // bound is pure insurance: no eviction ever fires, so
+            // misses count the distinct texts and hits the repeats
+            // (`tests/frontend_cache.rs` checks that arithmetic).
             let mut cache = ArtifactCache::bounded(PER_CHALLENGE_CACHE_CAP);
             // The node-level cache behind the incremental frontend:
             // shared across this challenge's four settings (their

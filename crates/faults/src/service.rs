@@ -279,20 +279,16 @@ impl<'a> FaultyTransformer<'a> {
         };
         if let Some(fault) = injected {
             let mut params = fault.params;
-            let mangled = self.sabotage(fault.kind, &step.source, &mut params, expectation);
-            let err = self
-                .validator
-                .validate(expectation, &mangled)
-                .expect_err("sabotage is construction-guaranteed to fail validation");
-            return Err(err);
+            return Err(self.sabotage(fault.kind, &step.source, &mut params, expectation));
         }
         let post = fc.diags_for(
             step.regions.unit_hash,
             &step.unit,
             self.validator.analyzer(),
         );
-        let fp = fc.fingerprint_for(step.regions.unit_hash, &step.unit);
-        let resp_expectation = self.validator.validate_parsed(expectation, post, fp)?;
+        let resp_expectation = self.validator.validate_parsed(expectation, post, || {
+            fc.fingerprint_for(step.regions.unit_hash, &step.unit)
+        })?;
         *rng = attempt_rng;
         Ok(AcceptedStep {
             source: step.source,
@@ -302,26 +298,30 @@ impl<'a> FaultyTransformer<'a> {
         })
     }
 
-    /// Mangles a good response so the validator is guaranteed to
-    /// reject it. The guarantee is checked, not assumed: if a mangled
-    /// candidate happens to survive validation (e.g. a cut that only
-    /// removed trailing comments), a hard lexical break is appended.
+    /// Mangles a good response and returns the error the validator
+    /// rejects it with. The rejection is checked, not assumed: if a
+    /// mangled candidate happens to survive validation (e.g. a cut that
+    /// only removed trailing comments), a hard lexical break is
+    /// appended.
     fn sabotage(
         &self,
         kind: FaultKind,
         out: &str,
         params: &mut Pcg64,
         expectation: &Expectation,
-    ) -> String {
+    ) -> GptError {
         let candidate = match kind {
             FaultKind::Truncated => truncate_response(out, params),
             FaultKind::Corrupted => corrupt_response(out, params),
             _ => unreachable!("call-level faults have no response body"),
         };
-        if self.validator.validate(expectation, &candidate).is_err() {
-            return candidate;
+        match self.validator.validate(expectation, &candidate) {
+            Err(e) => e,
+            Ok(()) => self
+                .validator
+                .validate(expectation, &format!("{candidate}\n@chaos@"))
+                .expect_err("a lexical break fails validation"),
         }
-        format!("{candidate}\n@chaos@")
     }
 }
 

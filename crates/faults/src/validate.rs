@@ -69,22 +69,21 @@ impl ResponseValidator {
         &self.analyzer
     }
 
-    /// The gate sequence of [`ResponseValidator::validate`] for a
-    /// response that is already parsed and analyzed: `post_diags` and
-    /// `fp` must be the response's analyzer output and fingerprint
-    /// (possibly served from a unit-hash cache). Runs the identical
-    /// lint-delta and fingerprint checks, and returns the response's
-    /// own [`Expectation`] for when it becomes the next call's input.
+    /// The gate sequence for a response that is already parsed and
+    /// analyzed: `post_diags` must be the response's analyzer output
+    /// (possibly served from a unit-hash cache), and `fingerprint`
+    /// computes its semantic fingerprint, which only runs once the
+    /// lint gate has passed. Returns the response's own
+    /// [`Expectation`] for when it becomes the next call's input.
     ///
     /// # Errors
     ///
-    /// [`GptError::InvalidResponse`] naming the first violated gate,
-    /// byte-identical to [`ResponseValidator::validate`].
+    /// [`GptError::InvalidResponse`] naming the first violated gate.
     pub(crate) fn validate_parsed(
         &self,
         expected: &Expectation,
         post_diags: Arc<Vec<Diagnostic>>,
-        fp: u64,
+        fingerprint: impl FnOnce() -> u64,
     ) -> Result<Expectation, GptError> {
         let fresh = new_errors(&expected.pre_diags, &post_diags);
         if let Some(first) = fresh.first() {
@@ -93,6 +92,7 @@ impl ResponseValidator {
                 detail: format!("{} new error(s), first: {first}", fresh.len()),
             });
         }
+        let fp = fingerprint();
         if fp != expected.fingerprint {
             return Err(GptError::InvalidResponse {
                 violation: ResponseViolation::FingerprintMismatch,
@@ -108,40 +108,21 @@ impl ResponseValidator {
         })
     }
 
-    /// Accepts or rejects one response body.
+    /// Accepts or rejects one response body: parses it (catching
+    /// truncation), analyzes it, then runs the lint-delta and
+    /// fingerprint gates.
     ///
     /// # Errors
     ///
     /// [`GptError::InvalidResponse`] naming the first violated gate.
     pub fn validate(&self, expected: &Expectation, response: &str) -> Result<(), GptError> {
-        let unit = match parse(response) {
-            Ok(u) => u,
-            Err(e) => {
-                return Err(GptError::InvalidResponse {
-                    violation: ResponseViolation::Unparseable,
-                    detail: e.to_string(),
-                })
-            }
-        };
+        let unit = parse(response).map_err(|e| GptError::InvalidResponse {
+            violation: ResponseViolation::Unparseable,
+            detail: e.to_string(),
+        })?;
         let post_diags = Arc::new(self.analyzer.analyze(&unit));
-        let fresh = new_errors(&expected.pre_diags, &post_diags);
-        if let Some(first) = fresh.first() {
-            return Err(GptError::InvalidResponse {
-                violation: ResponseViolation::LintErrors,
-                detail: format!("{} new error(s), first: {first}", fresh.len()),
-            });
-        }
-        let fp = fingerprint(&unit);
-        if fp != expected.fingerprint {
-            return Err(GptError::InvalidResponse {
-                violation: ResponseViolation::FingerprintMismatch,
-                detail: format!(
-                    "fingerprint {fp:#018x} != expected {:#018x}",
-                    expected.fingerprint
-                ),
-            });
-        }
-        Ok(())
+        self.validate_parsed(expected, post_diags, || fingerprint(&unit))
+            .map(drop)
     }
 }
 
@@ -236,7 +217,9 @@ mod tests {
         let renamed = "int main() { int count = 0; count = count + 1; return 0; }";
         let unit = parse(renamed).unwrap();
         let post = Arc::new(v.analyzer().analyze(&unit));
-        let next = v.validate_parsed(&exp, post, fingerprint(&unit)).unwrap();
+        let next = v
+            .validate_parsed(&exp, post, || fingerprint(&unit))
+            .unwrap();
         assert_eq!(next, v.expectation(renamed).unwrap());
     }
 }

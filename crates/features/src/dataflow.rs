@@ -8,9 +8,9 @@
 //! style transforms perform, which is exactly why it earns a place in
 //! the attribution vector.
 //!
-//! **Per-item construction.** Both extraction paths build each
-//! function's CFG *in isolation* ([`DataflowPartial::of_item`]), with
-//! no cross-item typedef context: a partial keyed by an item's
+//! **Per-item construction.** Extraction builds each function's CFG
+//! *in isolation* ([`DataflowPartial::of_item`]), with no cross-item
+//! typedef context: a partial keyed by an item's
 //! structural hash must never change because a sibling item did. The
 //! only cost is that scalars declared through a file-level alias
 //! (`typedef long long ll; ll x;`) are not birth-tracked by the

@@ -1,14 +1,12 @@
 //! The assembled feature extractor.
 
-use crate::collect::CodeStats;
-use crate::dataflow::DataflowPartial;
+use crate::incr::ItemFeatures;
+use crate::layout::RegionLayout;
 use crate::{dataflow, layout, lexical, syntactic};
 use synthattr_lang::ast::TranslationUnit;
-use synthattr_lang::metrics::{AstMetrics, MetricsBuilder};
-use synthattr_lang::visit::{walk_unit, Pair};
 use synthattr_lang::{parse, ParseError};
 
-/// Which feature families to extract, and hash-bucket sizes.
+/// Which feature families to extract.
 ///
 /// The defaults match the configuration used by every experiment in
 /// the reproduction; `repro ablation-features` varies the family
@@ -23,10 +21,6 @@ pub struct FeatureConfig {
     pub syntactic: bool,
     /// Extract the dataflow family (CFG/fixed-point measurements).
     pub dataflow: bool,
-    /// Hash buckets for identifier unigrams.
-    pub unigram_buckets: usize,
-    /// Hash buckets for AST bigrams.
-    pub bigram_buckets: usize,
 }
 
 impl Default for FeatureConfig {
@@ -36,8 +30,6 @@ impl Default for FeatureConfig {
             layout: true,
             syntactic: true,
             dataflow: true,
-            unigram_buckets: 48,
-            bigram_buckets: 48,
         }
     }
 }
@@ -98,13 +90,13 @@ impl FeatureExtractor {
     pub fn new(config: FeatureConfig) -> Self {
         let mut names = Vec::new();
         if config.lexical {
-            lexical::push_names(config.unigram_buckets, &mut names);
+            lexical::push_names(&mut names);
         }
         if config.layout {
             layout::push_names(&mut names);
         }
         if config.syntactic {
-            syntactic::push_names(config.bigram_buckets, &mut names);
+            syntactic::push_names(&mut names);
         }
         if config.dataflow {
             dataflow::push_names(&mut names);
@@ -140,61 +132,15 @@ impl FeatureExtractor {
 
     /// Extracts features given an already-parsed unit (avoids double
     /// parsing in pipelines that already hold the AST).
+    ///
+    /// The unit is the merge of its items and the whole source is one
+    /// region with no separator, so this is
+    /// [`extract_from_parts`](FeatureExtractor::extract_from_parts) over
+    /// freshly measured partials.
     pub fn extract_parsed(&self, source: &str, unit: &TranslationUnit) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.dim());
-        if self.config.lexical && self.config.syntactic {
-            // Both AST-derived families off one fused traversal; each
-            // visitor sees the exact node stream it would see alone.
-            let mut stats = CodeStats::default();
-            let mut metrics = MetricsBuilder::for_unit();
-            walk_unit(unit, &mut Pair(&mut stats, &mut metrics));
-            lexical::push_features(&stats, source.len(), self.config.unigram_buckets, &mut out);
-            if self.config.layout {
-                layout::push_features(source, &mut out);
-            }
-            syntactic::push_features(
-                &metrics.into_metrics(),
-                self.config.bigram_buckets,
-                &mut out,
-            );
-            if self.config.dataflow {
-                self.push_dataflow(unit, &mut out);
-            }
-            debug_assert_eq!(out.len(), self.dim());
-            return out;
-        }
-        if self.config.lexical {
-            let stats = CodeStats::collect(unit);
-            lexical::push_features(&stats, source.len(), self.config.unigram_buckets, &mut out);
-        }
-        if self.config.layout {
-            layout::push_features(source, &mut out);
-        }
-        if self.config.syntactic {
-            let metrics = AstMetrics::measure(unit);
-            syntactic::push_features(&metrics, self.config.bigram_buckets, &mut out);
-        }
-        if self.config.dataflow {
-            self.push_dataflow(unit, &mut out);
-        }
-        debug_assert_eq!(out.len(), self.dim());
-        out
-    }
-
-    /// Appends the dataflow family. Deliberately per-item (each
-    /// function's CFG built in isolation, summaries merged) so the
-    /// whole-unit path computes exactly what
-    /// [`extract_from_parts`](FeatureExtractor::extract_from_parts)
-    /// reassembles from cached partials.
-    fn push_dataflow(&self, unit: &TranslationUnit, out: &mut Vec<f64>) {
-        let total = DataflowPartial::merge(
-            unit.items
-                .iter()
-                .map(DataflowPartial::of_item)
-                .collect::<Vec<_>>()
-                .iter(),
-        );
-        dataflow::push_features(&total, out);
+        let items: Vec<ItemFeatures> = unit.items.iter().map(ItemFeatures::of_item).collect();
+        let layout = RegionLayout::scan(source);
+        self.extract_from_parts(source.len(), &items, [(0, &layout)])
     }
 }
 

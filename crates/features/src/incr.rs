@@ -1,22 +1,22 @@
-//! Incremental feature extraction from cached per-item partials.
+//! Feature extraction from per-item partials: the one implementation
+//! of every family.
+//!
+//! A feature vector is assembled from *partials* — one
+//! [`ItemFeatures`] per top-level item (AST-derived families) and one
+//! [`RegionLayout`] per region of text (text-derived family) — by
+//! [`FeatureExtractor::extract_from_parts`]. Whole-file extraction is
+//! the same assembly over one region with no separator:
+//! [`FeatureExtractor::extract_parsed`] measures every item afresh and
+//! scans the whole source once.
 //!
 //! The pipeline's transformation chains change only a few top-level
-//! items per step, so most of a step's feature work repeats the
-//! previous step's. This module lets callers keep *partials* — one
-//! [`ItemFeatures`] per top-level item (AST-derived families) and one
-//! [`RegionLayout`](crate::layout::RegionLayout) per rendered region
-//! (text-derived family) — and assemble the whole-unit vector from
-//! them. Every partial is keyed by content (item structural hash or
-//! region text), so unchanged items cost a cache lookup instead of a
-//! walk.
-//!
-//! [`FeatureExtractor::extract_from_parts`] is bit-identical to
-//! [`FeatureExtractor::extract_parsed`] on the assembled source. The
-//! property tests below check that on generated programs; the root
-//! package's golden frontend grid (`tests/frontend_golden.rs`) pins the
-//! feature vectors the pipeline assembles this way, and a test in
-//! `synthattr-gpt`'s `incr` module compares them step by step against
-//! the whole-file extractor along a 50-step chain.
+//! items per step, so callers there keep the partials keyed by content
+//! (item structural hash or region text) and an unchanged item costs a
+//! cache lookup instead of a walk. The property test below checks that
+//! assembling a rendered unit from its N regions equals assembling it
+//! from one; the root package's golden frontend grid
+//! (`tests/frontend_golden.rs`) pins the vectors the pipeline
+//! assembles.
 
 use crate::collect::CodeStats;
 use crate::dataflow::DataflowPartial;
@@ -61,9 +61,10 @@ impl FeatureExtractor {
     ///
     /// `source_len` is the length of the assembled source (regions plus
     /// separator newlines); `regions` yields `(separator_lines, scan)`
-    /// in item order. Bit-identical to
+    /// in item order. Equal to
     /// [`extract_parsed`](FeatureExtractor::extract_parsed) on the
-    /// assembled text and the unit holding these items.
+    /// assembled text and the unit holding these items, which is this
+    /// function over the whole text as one region.
     pub fn extract_from_parts<'a>(
         &self,
         source_len: usize,
@@ -75,14 +76,14 @@ impl FeatureExtractor {
         let mut out = Vec::with_capacity(self.dim());
         if config.lexical {
             let stats = CodeStats::merge(items.iter().map(|f| &f.stats));
-            lexical::push_features(&stats, source_len, config.unigram_buckets, &mut out);
+            lexical::push_features(&stats, source_len, &mut out);
         }
         if config.layout {
             layout::push_features_merged(regions, &mut out);
         }
         if config.syntactic {
             let metrics = MetricsPartial::merge(items.iter().map(|f| &f.metrics));
-            syntactic::push_features(&metrics, config.bigram_buckets, &mut out);
+            syntactic::push_features(&metrics, &mut out);
         }
         if config.dataflow {
             let total = DataflowPartial::merge(items.iter().map(|f| &f.dataflow));

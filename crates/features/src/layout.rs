@@ -1,5 +1,10 @@
 //! Layout feature family: measurements taken from the raw source text
 //! (the AST deliberately carries no whitespace).
+//!
+//! [`RegionLayout::scan`] measures one region of text and
+//! [`push_features_merged`] turns a sequence of scans into the family's
+//! features. A whole source is one region with no separator; a
+//! rendered unit can be assembled from one scan per item.
 
 use synthattr_util::stats::{log_ratio, mean, std_dev};
 
@@ -34,122 +39,11 @@ pub fn push_names(names: &mut Vec<String>) {
 /// Number of layout features.
 pub const DIM: usize = 20;
 
-/// Pushes the layout features for one raw source text.
-pub fn push_features(src: &str, out: &mut Vec<f64>) {
-    let len = src.len();
-    let lines: Vec<&str> = src.lines().collect();
-    let line_count = lines.len().max(1);
-
-    let tabs = src.matches('\t').count();
-    let spaces = src.matches(' ').count();
-    let empty_lines = lines.iter().filter(|l| l.trim().is_empty()).count();
-    let ws_chars = src.chars().filter(|c| c.is_whitespace()).count();
-
-    out.push(log_ratio(tabs, len));
-    out.push(log_ratio(spaces, len));
-    out.push(log_ratio(empty_lines, line_count));
-    out.push(ws_chars as f64 / len.max(1) as f64);
-
-    let line_lens: Vec<f64> = lines.iter().map(|l| l.len() as f64).collect();
-    out.push(mean(&line_lens) / 100.0);
-    out.push(std_dev(&line_lens) / 100.0);
-    out.push(line_lens.iter().cloned().fold(0.0, f64::max) / 100.0);
-
-    // Indentation measurements over indented, non-empty lines.
-    let mut leading_ws = Vec::new();
-    let mut tab_lines = 0usize;
-    let mut space_indented = Vec::new();
-    for l in &lines {
-        if l.trim().is_empty() {
-            continue;
-        }
-        let lead: String = l.chars().take_while(|c| *c == ' ' || *c == '\t').collect();
-        leading_ws.push(lead.len() as f64);
-        if lead.contains('\t') {
-            tab_lines += 1;
-        } else if !lead.is_empty() {
-            space_indented.push(lead.len());
-        }
-    }
-    out.push(mean(&leading_ws) / 10.0);
-    let indented_total = tab_lines + space_indented.len();
-    out.push(if indented_total == 0 {
-        0.0
-    } else {
-        tab_lines as f64 / indented_total as f64
-    });
-    let mod_ratio = |m: usize| {
-        if space_indented.is_empty() {
-            0.0
-        } else {
-            space_indented.iter().filter(|&&w| w % m == 0).count() as f64
-                / space_indented.len() as f64
-        }
-    };
-    out.push(mod_ratio(2));
-    out.push(mod_ratio(3));
-    out.push(mod_ratio(4));
-
-    // Brace placement.
-    let open_brace_lines = lines.iter().filter(|l| l.contains('{')).count();
-    let own_line = lines.iter().filter(|l| l.trim() == "{").count();
-    let same_line = lines
-        .iter()
-        .filter(|l| {
-            let t = l.trim();
-            t.ends_with('{') && t.len() > 1
-        })
-        .count();
-    out.push(if open_brace_lines == 0 {
-        0.0
-    } else {
-        own_line as f64 / open_brace_lines as f64
-    });
-    out.push(if open_brace_lines == 0 {
-        0.0
-    } else {
-        same_line as f64 / open_brace_lines as f64
-    });
-
-    // Micro-spacing habits.
-    let commas = src.matches(',').count();
-    let spaced_commas = src.matches(", ").count();
-    out.push(if commas == 0 {
-        0.0
-    } else {
-        spaced_commas as f64 / commas as f64
-    });
-    out.push(assign_spacing_ratio(src));
-    let kw_spaced =
-        src.matches("if (").count() + src.matches("for (").count() + src.matches("while (").count();
-    let kw_tight =
-        src.matches("if(").count() + src.matches("for(").count() + src.matches("while(").count();
-    out.push(if kw_spaced + kw_tight == 0 {
-        0.0
-    } else {
-        kw_spaced as f64 / (kw_spaced + kw_tight) as f64
-    });
-
-    out.push(empty_lines as f64 / line_count as f64);
-    let line_comments = src.matches("//").count();
-    let block_comments = src.matches("/*").count();
-    out.push(log_ratio(line_comments, line_count));
-    out.push(log_ratio(block_comments, line_count));
-}
-
-/// Fraction of plain `=` assignments written with surrounding spaces.
+/// Counts `(plain, spaced)`: plain `=` assignments, and those written
+/// with a space on both sides.
 ///
 /// Compound operators (`==`, `<=`, `+=`, …) are excluded by inspecting
 /// the characters around each `=`.
-fn assign_spacing_ratio(src: &str) -> f64 {
-    let (plain, spaced) = assign_spacing_counts(src);
-    if plain == 0 {
-        0.0
-    } else {
-        spaced as f64 / plain as f64
-    }
-}
-
 fn assign_spacing_counts(src: &str) -> (usize, usize) {
     let bytes = src.as_bytes();
     let mut plain = 0usize;
@@ -176,18 +70,20 @@ fn assign_spacing_counts(src: &str) -> (usize, usize) {
     (plain, spaced)
 }
 
-/// Layout scan of one rendered region (one top-level item's text),
-/// mergeable into whole-file layout features.
+/// Layout scan of one region of source text: a whole source, or one
+/// rendered top-level item's text, mergeable into the layout features
+/// of the text the regions assemble.
 ///
-/// Whole-file source is the concatenation of regions with a number of
+/// A rendered source is the concatenation of regions with a number of
 /// blank separator lines before each region (see
 /// `synthattr_lang::render::render_with_regions`). Every region ends
 /// with a newline, so line boundaries align with region boundaries and
 /// no scanned substring pattern — none contains `'\n'` — can straddle
-/// one. [`push_features_merged`] therefore reproduces
-/// [`push_features`] on the concatenated text bit-for-bit: the ordered
-/// per-line vectors are rebuilt exactly (separator lines are empty),
-/// and every remaining accumulator is an integer count.
+/// one. [`push_features_merged`] over the per-item scans therefore
+/// equals [`push_features_merged`] over one scan of the concatenated
+/// text bit-for-bit: the ordered per-line vectors are rebuilt exactly
+/// (separator lines are empty), and every remaining accumulator is an
+/// integer count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionLayout {
     len: usize,
@@ -217,7 +113,8 @@ impl RegionLayout {
     /// Scans one region's text.
     pub fn scan(region: &str) -> Self {
         // The assign-spacing scan defaults the byte before the region
-        // to ' '; that is only exact because no rendered item starts
+        // to ' ', as at the start of a whole text; between rendered
+        // regions that is only exact because no rendered item starts
         // with '='.
         debug_assert!(!region.starts_with('='), "region starts with '='");
         let mut line_lens = Vec::new();
@@ -277,8 +174,7 @@ impl RegionLayout {
 
 /// Pushes the layout features of the source assembled from `regions`,
 /// where each `(sep, scan)` pair contributes `sep` blank separator
-/// lines followed by the scanned region text. Bit-identical to
-/// [`push_features`] on the concatenated source.
+/// lines followed by the scanned region text.
 pub fn push_features_merged<'a, I>(regions: I, out: &mut Vec<f64>)
 where
     I: IntoIterator<Item = (usize, &'a RegionLayout)>,
@@ -397,7 +293,7 @@ mod tests {
 
     fn extract(src: &str) -> Vec<f64> {
         let mut out = Vec::new();
-        push_features(src, &mut out);
+        push_features_merged([(0, &RegionLayout::scan(src))], &mut out);
         out
     }
 
@@ -459,9 +355,9 @@ mod tests {
     fn assign_spacing_ignores_compound_operators() {
         // Only `x = 1` is a plain assignment; the rest must not count.
         let src = "x == y; x <= y; x += 1; x = 1;";
-        assert_eq!(assign_spacing_ratio(src), 1.0);
+        assert_eq!(assign_spacing_counts(src), (1, 1));
         let src2 = "x == y; x=1;";
-        assert_eq!(assign_spacing_ratio(src2), 0.0);
+        assert_eq!(assign_spacing_counts(src2), (1, 0));
     }
 
     #[test]
@@ -492,8 +388,7 @@ mod tests {
                 .iter()
                 .map(|(sep, text)| format!("{}{}", "\n".repeat(*sep), text))
                 .collect();
-            let mut whole = Vec::new();
-            push_features(&full, &mut whole);
+            let whole = extract(&full);
             let scans: Vec<(usize, RegionLayout)> = parts
                 .iter()
                 .map(|(sep, text)| (*sep, RegionLayout::scan(text)))

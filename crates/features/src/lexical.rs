@@ -13,8 +13,11 @@ fn ratio(a: usize, b: usize) -> f64 {
     }
 }
 
+/// Hash buckets for identifier unigram term frequencies.
+pub const UNIGRAM_BUCKETS: usize = 48;
+
 /// Pushes one feature name per lexical feature, in extraction order.
-pub fn push_names(unigram_buckets: usize, names: &mut Vec<String>) {
+pub fn push_names(names: &mut Vec<String>) {
     for n in [
         "lex.ln_if",
         "lex.ln_else",
@@ -55,7 +58,7 @@ pub fn push_names(unigram_buckets: usize, names: &mut Vec<String>) {
     ] {
         names.push(n.to_string());
     }
-    for b in 0..unigram_buckets {
+    for b in 0..UNIGRAM_BUCKETS {
         names.push(format!("lex.unigram_{b}"));
     }
 }
@@ -64,7 +67,7 @@ pub fn push_names(unigram_buckets: usize, names: &mut Vec<String>) {
 ///
 /// `len` is the raw source length in bytes (the paper's per-length
 /// normalization denominator).
-pub fn push_features(stats: &CodeStats, len: usize, unigram_buckets: usize, out: &mut Vec<f64>) {
+pub fn push_features(stats: &CodeStats, len: usize, out: &mut Vec<f64>) {
     let s = stats;
     out.push(log_ratio(s.if_count, len));
     out.push(log_ratio(s.else_count, len));
@@ -115,9 +118,9 @@ pub fn push_features(stats: &CodeStats, len: usize, unigram_buckets: usize, out:
     out.push(upper as f64 / total);
 
     // Hashed identifier unigram term frequencies.
-    let mut buckets = vec![0usize; unigram_buckets];
+    let mut buckets = [0usize; UNIGRAM_BUCKETS];
     for name in &s.ident_names {
-        let b = (name.hash % unigram_buckets as u64) as usize;
+        let b = (name.hash % UNIGRAM_BUCKETS as u64) as usize;
         buckets[b] += 1;
     }
     let denom = s.ident_names.len().max(1);
@@ -136,14 +139,14 @@ mod tests {
         let unit = parse(src).unwrap();
         let stats = CodeStats::collect(&unit);
         let mut out = Vec::new();
-        push_features(&stats, src.len(), 16, &mut out);
+        push_features(&stats, src.len(), &mut out);
         out
     }
 
     #[test]
     fn names_and_features_have_matching_dims() {
         let mut names = Vec::new();
-        push_names(16, &mut names);
+        push_names(&mut names);
         let feats = extract("int main() { return 0; }");
         assert_eq!(names.len(), feats.len());
         // Names are unique.
@@ -173,7 +176,7 @@ mod tests {
             "int main() { int myLongName = 1; int otherName = 2; return myLongName + otherName; }",
         );
         let mut names = Vec::new();
-        push_names(16, &mut names);
+        push_names(&mut names);
         let snake_idx = names
             .iter()
             .position(|n| n == "lex.ident_snake_ratio")
@@ -192,7 +195,7 @@ mod tests {
             extract("#include <iostream>\nint main() { int x; cin >> x; cout << x; return 0; }");
         let stdio = extract("#include <cstdio>\nint main() { int x; scanf(\"%d\", x); printf(\"%d\", x); return 0; }");
         let mut names = Vec::new();
-        push_names(16, &mut names);
+        push_names(&mut names);
         let idx = names
             .iter()
             .position(|n| n == "lex.stream_vs_stdio")

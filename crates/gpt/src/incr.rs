@@ -2,14 +2,16 @@
 //!
 //! A CT chain step rewrites only a few top-level items of its
 //! predecessor — measured over the calibrated pools, ~91% of item ASTs
-//! and ~81% of rendered region bytes recur across a 64-step chain. The
-//! whole-file frontend still re-renders, re-detects, re-parses and
-//! re-featurizes every byte of every step. This module keys each of
-//! those products at the *node* (top-level item / rendered region)
-//! level so unchanged sub-trees are shared across steps:
+//! and ~81% of rendered region bytes recur across a 64-step chain.
+//! Run from scratch, a step re-renders, re-detects, re-parses and
+//! re-featurizes every byte. This module keys each of those products
+//! at the *node* (top-level item / rendered region) level so unchanged
+//! sub-trees are shared across steps:
 //!
-//! * [`StyleScan`] — a mergeable per-region partial of
-//!   [`detect_render_style`], cached by region text;
+//! * [`StyleScan`] — the mergeable per-region measurement behind
+//!   layout detection, cached by region text: [`detect_from_scans`]
+//!   merges a step's region scans, and [`detect_render_style`] is the
+//!   same merge over a whole text scanned as one region;
 //! * [`FrontendCache`] — the per-dispatch-unit node cache: rendered
 //!   item text by `(item structural hash, style)`, per-item feature
 //!   partials and per-region layout scans, and whole-unit
@@ -52,16 +54,16 @@ use synthattr_util::Pcg64;
 // Per-region layout-detection partials
 // ---------------------------------------------------------------------------
 
-/// The per-region partial of [`detect_render_style`]: every counter,
+/// The per-region measurement of layout detection: every counter,
 /// minimum and containment flag the detector reads, measured over one
-/// rendered region, plus the region-edge flags needed to reconstruct
-/// the patterns that span a region/separator boundary (`"}\n\n"`,
-/// `";\n\n"`, `">\n\n"`).
+/// region (a whole text, or one rendered item), plus the region-edge
+/// flags needed to reconstruct the patterns that span a
+/// region/separator boundary (`"}\n\n"`, `";\n\n"`, `">\n\n"`).
 ///
-/// Regions are `'\n'`-terminated and never start with `'\n'`, and
-/// separators are pure newline runs, so no other detector pattern can
-/// cross a boundary; [`detect_from_scans`] proves the reconstruction
-/// exact against the whole-text detector.
+/// Rendered regions are `'\n'`-terminated and never start with
+/// `'\n'`, and separators are pure newline runs, so no other detector
+/// pattern can cross a boundary: [`detect_from_scans`] over a rendered
+/// text's region scans equals it over one scan of the whole text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StyleScan {
     tab_lines: usize,
@@ -86,7 +88,7 @@ pub struct StyleScan {
 }
 
 impl StyleScan {
-    /// Measures one rendered region.
+    /// Measures one region: a whole text, or one rendered item.
     pub fn scan(region: &str) -> Self {
         let mut tab_lines = 0usize;
         let mut indent_lines = 0usize;
@@ -149,11 +151,12 @@ impl StyleScan {
     }
 }
 
-/// Reconstructs [`detect_render_style`] of the assembled text from
-/// per-region scans. `scans` yields `(separator_lines, scan)` in
-/// region order, exactly as
+/// Detects the layout style of the text assembled from per-region
+/// scans. `scans` yields `(separator_lines, scan)` in region order,
+/// exactly as
 /// [`render_with_regions`](synthattr_lang::render::render_with_regions)
-/// reports them. Bit-identical to detecting on the whole text.
+/// reports them; a whole text is one region with no separator
+/// ([`detect_render_style`]).
 pub fn detect_from_scans(scans: &[(usize, &StyleScan)]) -> RenderStyle {
     let mut tab_lines = 0usize;
     let mut indent_lines = 0usize;
@@ -387,7 +390,7 @@ impl FrontendCache {
 }
 
 /// Detects the layout style of `source` from cached per-region scans,
-/// bit-identical to [`detect_render_style`] on the whole text.
+/// equal to [`detect_render_style`] on the whole text.
 pub fn detect_with_regions(
     fc: &mut FrontendCache,
     source: &str,
@@ -788,7 +791,8 @@ mod tests {
         // A long CT chain re-featurizes only what changed: step by
         // step, the node cache's misses during featurization are at
         // most the sub-trees and regions this step introduced, and the
-        // assembled features equal the whole-file extractor's.
+        // features assembled from N regions equal extracting the whole
+        // text as one region.
         use std::collections::HashSet;
         use synthattr_features::{FeatureConfig, FeatureExtractor};
 

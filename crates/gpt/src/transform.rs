@@ -12,13 +12,14 @@
 //! observes on human-seeded transformations.
 
 use crate::error::GptError;
+use crate::incr::{detect_from_scans, StyleScan};
 use crate::pool::YearPool;
 use std::collections::HashMap;
 use synthattr_gen::naming::{apply_case, NamingStyle, Verbosity};
 use synthattr_gen::style::AuthorStyle;
 use synthattr_lang::ast::*;
 use synthattr_lang::parse;
-use synthattr_lang::render::{render, BraceStyle, Indent, RenderStyle};
+use synthattr_lang::render::{render, RenderStyle};
 use synthattr_lang::visit::{
     declared_names, for_each_block_mut, rename_idents, unrenameable_names,
 };
@@ -203,74 +204,11 @@ pub(crate) fn debug_assert_semantics_preserved(source: &str, out: &str) -> Resul
 
 /// Heuristically recovers the layout style of raw source text (used to
 /// let source layout traits survive low-fidelity transformations).
+///
+/// The whole text is one region with no separator: this is
+/// [`detect_from_scans`] over one [`StyleScan`].
 pub fn detect_render_style(src: &str) -> RenderStyle {
-    let lines: Vec<&str> = src.lines().collect();
-    let mut tab_lines = 0usize;
-    let mut indents: Vec<usize> = Vec::new();
-    for l in &lines {
-        if l.trim().is_empty() {
-            continue;
-        }
-        let lead: String = l.chars().take_while(|c| *c == ' ' || *c == '\t').collect();
-        if lead.contains('\t') {
-            tab_lines += 1;
-        } else if !lead.is_empty() {
-            indents.push(lead.len());
-        }
-    }
-    let indent = if tab_lines > indents.len() {
-        Indent::Tab
-    } else {
-        let min_indent = indents.iter().copied().min().unwrap_or(4);
-        match min_indent {
-            0..=2 => Indent::Spaces(2),
-            3 => Indent::Spaces(3),
-            _ => Indent::Spaces(4),
-        }
-    };
-    let own_line = lines.iter().filter(|l| l.trim() == "{").count();
-    let tail_brace = lines
-        .iter()
-        .filter(|l| {
-            let t = l.trim();
-            t.len() > 1 && t.ends_with('{')
-        })
-        .count();
-    let brace = if own_line > tail_brace {
-        BraceStyle::NextLine
-    } else {
-        BraceStyle::SameLine
-    };
-    let commas = src.matches(',').count();
-    let spaced_commas = src.matches(", ").count();
-    let kw_spaced =
-        src.matches("if (").count() + src.matches("for (").count() + src.matches("while (").count();
-    let kw_tight =
-        src.matches("if(").count() + src.matches("for(").count() + src.matches("while(").count();
-    // Braceless bodies: control headers without an opening brace.
-    let braceless = lines.iter().any(|l| {
-        let t = l.trim();
-        (t.starts_with("if ")
-            || t.starts_with("if(")
-            || t.starts_with("for ")
-            || t.starts_with("for(")
-            || t.starts_with("while ")
-            || t.starts_with("while("))
-            && t.ends_with(')')
-    });
-    RenderStyle {
-        indent,
-        brace,
-        space_around_binary: src.contains(" + ") || src.contains(" < ") || src.contains(" << "),
-        space_around_assign: src.contains(" = "),
-        space_after_comma: commas == 0 || spaced_commas * 2 >= commas,
-        space_after_keyword: kw_spaced >= kw_tight,
-        space_in_template_close: src.contains("> >"),
-        braceless_single_stmt: braceless,
-        collapse_else_if: true,
-        blank_lines_between_fns: if src.contains("}\n\n") { 1 } else { 0 },
-        blank_line_after_prologue: src.contains(";\n\n") || src.contains(">\n\n"),
-    }
+    detect_from_scans(&[(0, &StyleScan::scan(src))])
 }
 
 fn blend_render_styles(
@@ -1666,6 +1604,7 @@ mod tests {
     use synthattr_gen::challenges::ChallengeId;
     use synthattr_gen::corpus::solution_in_style;
     use synthattr_gen::naming::Case;
+    use synthattr_lang::render::{BraceStyle, Indent};
 
     fn sample_source(seed: u64) -> String {
         let mut rng = Pcg64::new(seed);

@@ -3,9 +3,15 @@
 //! These are the "syntactic features" of the Caliskan-Islam feature
 //! set: tree depth statistics, node-kind term frequencies, and
 //! parent–child node-kind bigram frequencies.
+//!
+//! Every measurement is taken per top-level item
+//! ([`MetricsPartial::of_item`]) and merged: a whole unit's
+//! [`AstMetrics`] is the merge of its items' partials, which lets the
+//! incremental frontend reuse the partial of every item a
+//! transformation step left unchanged.
 
 use crate::ast::{NodeKind, TranslationUnit};
-use crate::visit::{walk_unit, Visitor};
+use crate::visit::{walk_item, Visitor};
 use std::collections::HashMap;
 
 /// Aggregated syntactic metrics of one translation unit.
@@ -39,9 +45,8 @@ impl AstMetrics {
     /// # Ok::<(), synthattr_lang::ParseError>(())
     /// ```
     pub fn measure(unit: &TranslationUnit) -> Self {
-        let mut builder = MetricsBuilder::for_unit();
-        walk_unit(unit, &mut builder);
-        builder.into_metrics()
+        let parts: Vec<MetricsPartial> = unit.items.iter().map(MetricsPartial::of_item).collect();
+        MetricsPartial::merge(&parts)
     }
 
     /// Count for one node kind.
@@ -57,11 +62,10 @@ impl AstMetrics {
 /// unit root pre-seeded on the ancestor stack, so the `(Unit, item)`
 /// bigram and the root→item edge land in the partial; the unit node
 /// itself (one node at depth 0, one `Unit` kind count, one internal
-/// root when any item exists) is added once at merge time. That makes
-/// [`MetricsPartial::merge`] bit-identical to [`AstMetrics::measure`]
-/// on the whole unit: every accumulator is an integer, and the only
-/// floating-point math happens in the shared `finish` divisions over
-/// identical operands.
+/// root when any item exists) is added once at merge time. Every
+/// accumulator is an integer and the only floating-point math happens
+/// in the final divisions, so the merge equals one walk over the whole
+/// unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsPartial {
     node_count: usize,
@@ -77,7 +81,7 @@ impl MetricsPartial {
     /// Measures one item as a mergeable partial.
     pub fn of_item(item: &crate::ast::Item) -> Self {
         let mut builder = MetricsBuilder::for_item();
-        crate::visit::walk_item(item, &mut builder, 1);
+        walk_item(item, &mut builder, 1);
         builder.into_partial()
     }
 
@@ -110,20 +114,15 @@ impl MetricsPartial {
     }
 }
 
-/// An in-progress syntactic measurement that can ride a shared AST
-/// walk: construct, feed it a walk (alone or fused with another
-/// visitor via [`crate::visit::Pair`]), then finish. The node stream a
-/// builder observes is exactly what [`AstMetrics::measure`] /
+/// An in-progress syntactic measurement of one item that can ride a
+/// shared AST walk: construct, feed it the item's walk (alone or fused
+/// with another visitor via [`crate::visit::Pair`]), then finish. The
+/// node stream a builder observes is exactly what
 /// [`MetricsPartial::of_item`] would produce, so fused use is
-/// bit-identical to the stand-alone constructors.
+/// bit-identical to the stand-alone constructor.
 pub struct MetricsBuilder(Collector);
 
 impl MetricsBuilder {
-    /// Ready to observe a whole-unit walk ([`walk_unit`]).
-    pub fn for_unit() -> Self {
-        MetricsBuilder(Collector::default())
-    }
-
     /// Ready to observe one item's walk at depth 1, pre-seeded with
     /// the unit root: the item's root node then records the
     /// `(Unit, item)` bigram and the root-to-item edge exactly like
@@ -134,11 +133,6 @@ impl MetricsBuilder {
         c.stack.push(NodeKind::Unit);
         c.counted.push(true);
         MetricsBuilder(c)
-    }
-
-    /// Finishes a whole-unit observation.
-    pub fn into_metrics(self) -> AstMetrics {
-        self.0.finish()
     }
 
     /// Finishes a per-item observation.
@@ -305,22 +299,6 @@ mod tests {
         assert_eq!(m.node_count, 1); // the unit node itself
         assert_eq!(m.max_depth, 0);
         assert_eq!(m.avg_branching, 0.0);
-    }
-
-    #[test]
-    fn merged_partials_equal_whole_unit_measure() {
-        for src in [
-            "",
-            "int main() { return 0; }",
-            "#include <iostream>\nusing namespace std;\nint helper(int a) { return a * 2; }\nint main() { int x = 0; cin >> x; if (x > 1) { x = helper(x); } cout << x; return 0; }",
-            "// note\ntypedef long long ll;\nll v = 4;\nint main() { for (int i = 0; i < 3; ++i) { v += i; } return 0; }",
-        ] {
-            let unit = parse(src).unwrap();
-            let parts: Vec<MetricsPartial> =
-                unit.items.iter().map(MetricsPartial::of_item).collect();
-            let merged = MetricsPartial::merge(&parts);
-            assert_eq!(merged, AstMetrics::measure(&unit), "mismatch for {src:?}");
-        }
     }
 
     #[test]

@@ -113,29 +113,7 @@ impl Default for RenderStyle {
 /// # Ok::<(), synthattr_lang::ParseError>(())
 /// ```
 pub fn render(unit: &TranslationUnit, style: &RenderStyle) -> String {
-    let mut w = Writer::new(style);
-    let mut prev_was_fn = false;
-    let mut prologue_done = false;
-    for (i, item) in unit.items.iter().enumerate() {
-        let is_prologue = matches!(
-            item,
-            Item::Include { .. } | Item::Define { .. } | Item::UsingNamespace(_)
-        );
-        if !is_prologue && !prologue_done && i > 0 && style.blank_line_after_prologue {
-            w.blank_line();
-        }
-        if !is_prologue {
-            prologue_done = true;
-        }
-        if matches!(item, Item::Function(_)) && prev_was_fn {
-            for _ in 0..style.blank_lines_between_fns {
-                w.blank_line();
-            }
-        }
-        render_item(item, &mut w);
-        prev_was_fn = matches!(item, Item::Function(_));
-    }
-    w.finish()
+    render_with_regions(unit, style).0
 }
 
 /// One item's byte range in the output of
@@ -158,10 +136,9 @@ pub struct RegionSpan {
 
 /// Number of blank separator lines [`render`] emits before each item.
 ///
-/// This is the item-loop separator policy of [`render`] factored out:
-/// a pure function of the item-kind sequence and the style, shared by
-/// the region-tracking renderer and the incremental per-item renderer
-/// so all three agree byte-for-byte.
+/// A pure function of the item-kind sequence and the style, shared by
+/// [`render_with_regions`] (and so [`render`]) and the incremental
+/// per-item renderer so they agree byte-for-byte.
 pub fn separator_plan(items: &[Item], style: &RenderStyle) -> Vec<usize> {
     let mut plan = Vec::with_capacity(items.len());
     let mut prev_was_fn = false;
@@ -189,7 +166,7 @@ pub fn separator_plan(items: &[Item], style: &RenderStyle) -> Vec<usize> {
 
 /// Renders one item in isolation at nesting level 0.
 ///
-/// Because the [`Writer`] carries no cross-item state other than the
+/// Because the `Writer` carries no cross-item state other than the
 /// output buffer (the nesting level returns to 0 after every item),
 /// this equals the corresponding region of [`render`] byte-for-byte —
 /// `render_with_regions_equals_render` and
@@ -200,8 +177,8 @@ pub fn render_item_text(item: &Item, style: &RenderStyle) -> String {
     w.finish()
 }
 
-/// Renders `unit` exactly like [`render`], additionally reporting each
-/// item's byte region in the output.
+/// Renders `unit` like [`render`], additionally reporting each item's
+/// byte region in the output.
 pub fn render_with_regions(
     unit: &TranslationUnit,
     style: &RenderStyle,

@@ -5,7 +5,7 @@
 //!
 //! The split search is the training hot path: every node scans `k`
 //! candidate features over `n` samples. The optimised path
-//! ([`SplitScratch`]) keeps all per-node working memory in buffers
+//! (`SplitScratch`) keeps all per-node working memory in buffers
 //! reused down the recursion and maintains **incremental class counts
 //! with a running sum of squared counts** for both sides of the
 //! candidate split, so the Gini gain of each position is an O(1)
@@ -36,7 +36,7 @@
 //!   Prediction adds the sparse pairs into a dense accumulator; the
 //!   skipped entries are exact `+0.0` additions, so forest
 //!   probabilities are bit-identical to the dense representation.
-//! * **Split histograms** are indexed by a per-node [`ClassRemap`]
+//! * **Split histograms** are indexed by a per-node `ClassRemap`
 //!   that renames the node's distinct classes to `0..m` (epoch-stamped
 //!   O(1) lookups, one O(C) allocation per tree). Gini is a sum over
 //!   per-class counts, so renaming classes permutes integer additions

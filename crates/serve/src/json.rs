@@ -21,7 +21,7 @@ pub fn f32(x: f32) -> String {
     }
 }
 
-/// Formats an `f64` as a JSON number (same conventions as [`f32`]).
+/// Formats an `f64` as a JSON number (same conventions as [`f32()`]).
 pub fn f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")

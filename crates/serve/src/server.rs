@@ -505,7 +505,7 @@ impl ServerState {
             misses,
             cache.evictions(),
             cache.len(),
-            cache.capacity().unwrap_or(0),
+            cache.capacity(),
             json::f64(hit_rate)
         );
         drop(cache);
@@ -1138,6 +1138,7 @@ fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synthattr_core::Artifact;
 
     fn single_year_config() -> ServeConfig {
         let mut config = ServeConfig::smoke();
@@ -1209,8 +1210,7 @@ mod tests {
         assert_eq!(served.status, 200);
 
         let oracle = synthattr_core::year_oracle(2018, &s.config().experiment).unwrap();
-        let mut cache = ArtifactCache::new();
-        let artifact = cache.intern(SOURCE);
+        let artifact = Artifact::new(SOURCE);
         let features = artifact.features(oracle.extractor()).unwrap();
         let proba = oracle.forest().predict_proba(features);
         let expected = attribution_body(2018, &proba);

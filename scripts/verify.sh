@@ -25,6 +25,7 @@
 #   scripts/verify.sh --strict        # tier-1 + clippy with
 #                                     #   -D warnings across all
 #                                     #   targets + cargo fmt --check
+#                                     #   + rustdoc with -D warnings
 #   SYNTHATTR_WORKERS=1 scripts/verify.sh   # serial, for timing noise
 #
 # Each flag adds a check that plain tier-1 does not run; every test
@@ -55,8 +56,10 @@
 # non-ignored suites also run under plain tier-1.
 #
 # --strict is the workshop hygiene gate: clippy over every workspace
-# target with warnings denied, then rustfmt in check mode. Both must
-# stay clean — new code rides this stage in CI.
+# target with warnings denied, rustfmt in check mode, then rustdoc
+# with warnings denied, so a deleted or private item cannot leave a
+# dangling intra-doc link. All three must stay clean — new code rides
+# this stage in CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,6 +131,8 @@ if [[ "$STRICT" == "1" ]]; then
   cargo clippy --offline --workspace --all-targets -- -D warnings
   echo "== strict: cargo fmt --check ==" >&2
   cargo fmt --check
+  echo "== strict: cargo doc --no-deps --workspace -D warnings ==" >&2
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 fi
 
 echo "verify: OK" >&2

@@ -14,10 +14,12 @@
 //!    repeated texts and therefore real cache hits.
 
 use std::sync::Arc;
+use synthattr::analysis::Analyzer;
 use synthattr::core::artifact::{Artifact, ArtifactCache};
 use synthattr::core::config::ExperimentConfig;
 use synthattr::core::pipeline::YearPipeline;
 use synthattr::faults::FaultProfile;
+use synthattr::features::{FeatureConfig, FeatureExtractor};
 
 /// Hit/miss totals (artifact and node) and every cached product are a
 /// pure function of the inputs: worker counts 1, 2, and 8 must agree
@@ -68,7 +70,7 @@ fn frontend_counters_are_worker_invariant() {
 #[test]
 fn identical_sources_share_one_artifact() {
     const SRC: &str = "int main() { int total = 0; total = total + 2; return total; }";
-    let mut cache = ArtifactCache::new();
+    let mut cache = ArtifactCache::bounded(4);
     let first = cache.intern(SRC);
     let second = cache.intern(SRC);
     assert!(
@@ -96,9 +98,15 @@ fn shared_artifacts_match_from_scratch_products() {
         artifact.unit().unwrap(),
         &synthattr::lang::parse(SRC).unwrap()
     );
+    let analyzer = Analyzer::new();
     assert_eq!(
-        artifact.fingerprint().unwrap(),
-        synthattr::analysis::fingerprint_source(SRC).unwrap()
+        artifact.diagnostics(&analyzer).unwrap(),
+        &analyzer.analyze_source(SRC).unwrap()[..]
+    );
+    let extractor = FeatureExtractor::new(FeatureConfig::default());
+    assert_eq!(
+        artifact.features(&extractor).unwrap().as_slice(),
+        &extractor.extract(SRC).unwrap()[..]
     );
 }
 
@@ -133,54 +141,51 @@ fn degraded_chaos_runs_hit_the_cache() {
     );
 }
 
-/// ISSUE 6 regression: the bounded LRU is a drop-in for the unbounded
-/// cache. Across nine seeded request pools: a generous capacity gives
-/// *identical* hit/miss totals and zero evictions; a tight capacity
-/// keeps residency bounded, counts its evictions, and still returns
-/// identical frontend products for every request (residency changes,
-/// results never do).
+/// The LRU changes residency, never results. Across nine seeded
+/// request pools: a capacity covering every distinct source evicts
+/// nothing, so misses count the distinct sources and hits the requests
+/// beyond them; a tight capacity keeps residency bounded, counts its
+/// evictions, and still returns identical frontend products for every
+/// request.
 #[test]
 fn bounded_lru_preserves_semantics_and_bounds_memory() {
+    use std::collections::HashSet;
     use synthattr::util::Pcg64;
 
     const TIGHT: usize = 8;
+    const REQUESTS: u64 = 400;
     for pool_seed in 0..9u64 {
         let mut rng = Pcg64::seed_from(0xCA_C4E0, &["lru-ab", &pool_seed.to_string()]);
         let universe: Vec<String> = (0..32)
             .map(|i| format!("int main() {{ int v{i} = {i}; return v{i} * 2; }}"))
             .collect();
 
-        let mut unbounded = ArtifactCache::new();
         let mut generous = ArtifactCache::bounded(universe.len() * 2);
         let mut tight = ArtifactCache::bounded(TIGHT);
-        for _ in 0..400 {
+        let mut distinct = HashSet::new();
+        for _ in 0..REQUESTS {
             let src = &universe[rng.next_below(universe.len())];
-            let a = unbounded.intern(src);
+            distinct.insert(src);
             let b = generous.intern(src);
             let c = tight.intern(src);
             // Same text, same products — no matter what got evicted.
-            assert_eq!(a.fingerprint().unwrap(), b.fingerprint().unwrap());
-            assert_eq!(a.fingerprint().unwrap(), c.fingerprint().unwrap());
+            assert_eq!(b.unit().unwrap(), c.unit().unwrap());
             assert!(tight.len() <= TIGHT, "pool {pool_seed}: residency bound");
         }
 
+        let distinct = distinct.len() as u64;
         assert_eq!(
-            (unbounded.hits(), unbounded.misses()),
             (generous.hits(), generous.misses()),
-            "pool {pool_seed}: generous bound must not change hit/miss totals"
+            (REQUESTS - distinct, distinct),
+            "pool {pool_seed}: without eviction, misses are the distinct sources"
         );
         assert_eq!(generous.evictions(), 0, "pool {pool_seed}");
-        assert_eq!(unbounded.capacity(), None);
 
         // The tight cache answered every request too — hits + misses
         // add up the same — it just re-parsed what it evicted.
-        assert_eq!(
-            tight.hits() + tight.misses(),
-            unbounded.hits() + unbounded.misses(),
-            "pool {pool_seed}"
-        );
+        assert_eq!(tight.hits() + tight.misses(), REQUESTS, "pool {pool_seed}");
         assert!(
-            tight.evictions() > 0 && tight.misses() > unbounded.misses(),
+            tight.evictions() > 0 && tight.misses() > distinct,
             "pool {pool_seed}: a tight cache must evict and re-miss: {} evictions",
             tight.evictions()
         );

@@ -9,7 +9,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use synthattr::core::config::ExperimentConfig;
-use synthattr::core::{year_oracle, ArtifactCache};
+use synthattr::core::{year_oracle, Artifact};
 use synthattr::serve::client::{request, Client};
 use synthattr::serve::limit::RateConfig;
 use synthattr::serve::server::{attribution_body, RunningServer, ServeConfig, Server};
@@ -52,11 +52,10 @@ fn spawn(workers: usize) -> RunningServer {
 /// same writer.
 fn offline_expected(sources: &[String]) -> BTreeMap<String, String> {
     let oracle = year_oracle(YEAR, &ExperimentConfig::smoke()).expect("offline oracle");
-    let mut cache = ArtifactCache::new();
     sources
         .iter()
         .map(|src| {
-            let artifact = cache.intern(src);
+            let artifact = Artifact::new(src.as_str());
             let features = artifact.features(oracle.extractor()).expect("featurize");
             let proba = oracle.forest().predict_proba(features);
             (src.clone(), attribution_body(YEAR, &proba))
