@@ -27,6 +27,8 @@
 //! than source spans: paths stay stable across re-rendering, which is
 //! what the transform pre/post gates compare.
 
+#![forbid(unsafe_code)]
+
 pub mod cfg;
 pub mod dataflow;
 pub mod fingerprint;

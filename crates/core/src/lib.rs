@@ -35,6 +35,8 @@
 //! assert_eq!(styles.per_challenge.len(), cfg.scale.challenges);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod config;
 pub mod error;

@@ -50,6 +50,8 @@
 //! assert_eq!(run.stats.calls, 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod breaker;
 pub mod drivers;
 pub mod outcome;

@@ -31,6 +31,8 @@
 //! [`FeatureExtractor::names`] returns one human-readable name per
 //! position, which the ML layer uses to report information gain.
 
+#![forbid(unsafe_code)]
+
 pub mod collect;
 pub mod dataflow;
 pub mod extractor;

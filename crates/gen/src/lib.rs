@@ -34,6 +34,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod challenges;
 pub mod corpus;

@@ -36,6 +36,8 @@
 //! synthattr_lang::parse(&out).unwrap(); // still valid C++
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chain;
 pub mod error;
 pub mod incr;

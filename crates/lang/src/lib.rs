@@ -36,6 +36,8 @@
 //! # Ok::<(), synthattr_lang::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod hash;

@@ -44,6 +44,8 @@
 //! assert_eq!(forest.predict(&[0.9, 0.1]), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod colstore;
 pub mod cv;
 pub mod dataset;

@@ -11,6 +11,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use crate::http::Limits;
+
 /// One parsed response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientResponse {
@@ -124,10 +126,19 @@ fn invalid(what: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string())
 }
 
+/// Reads one status or header line, held to the server's own header
+/// line limit ([`Limits::max_header_line`], counting a trailing `\r`),
+/// so a peer that never ends its line cannot grow it without bound.
 fn read_line(reader: &mut impl BufRead) -> std::io::Result<String> {
+    let max = Limits::default().max_header_line;
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    // One byte past the limit leaves room for the `\n`.
+    let read = reader.take(max as u64 + 1).read_line(&mut line)?;
+    if read == 0 {
         return Err(invalid("connection closed mid-response"));
+    }
+    if read > max && !line.ends_with('\n') {
+        return Err(invalid("response line too long"));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -153,6 +164,9 @@ fn read_response(reader: &mut impl BufRead) -> std::io::Result<ClientResponse> {
         let line = read_line(reader)?;
         if line.is_empty() {
             break;
+        }
+        if headers.len() >= Limits::default().max_headers {
+            return Err(invalid("too many headers"));
         }
         let (name, value) = line.split_once(':').ok_or_else(|| invalid("bad header"))?;
         let name = name.trim().to_ascii_lowercase();
@@ -206,5 +220,36 @@ mod tests {
             let err = read_response(&mut Cursor::new(raw.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{length}");
         }
+    }
+
+    #[test]
+    fn long_lines_and_header_floods_error_instead_of_growing() {
+        let limits = Limits::default();
+        let over = "x".repeat(limits.max_header_line);
+        for raw in [
+            format!("HTTP/1.1 200 {over}\r\n\r\n"),
+            format!("HTTP/1.1 200 OK\r\nX-Pad: {over}\r\n\r\n"),
+            format!("HTTP/1.1 200 OK\r\nX-Pad: {over}"),
+        ] {
+            let err = read_response(&mut Cursor::new(raw.as_bytes())).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+        let flood: String = (0..=limits.max_headers)
+            .map(|i| format!("X-H{i}: v\r\n"))
+            .collect();
+        let raw = format!("HTTP/1.1 200 OK\r\n{flood}\r\n");
+        let err = read_response(&mut Cursor::new(raw.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // Exactly at both limits still parses: the longest line counts
+        // its `\r`, as the server's parser does.
+        let pad = "p".repeat(limits.max_header_line - "X-Pad: \r".len());
+        let headers: String = (1..limits.max_headers)
+            .map(|i| format!("X-H{i}: v\r\n"))
+            .collect();
+        let raw = format!("HTTP/1.1 200 OK\r\nX-Pad: {pad}\r\n{headers}\r\n");
+        let resp = read_response(&mut Cursor::new(raw.as_bytes())).unwrap();
+        assert_eq!(resp.headers.len(), limits.max_headers);
+        assert_eq!(resp.header("x-pad"), Some(pad.as_str()));
     }
 }

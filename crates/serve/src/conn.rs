@@ -1,11 +1,13 @@
 //! Per-connection survivability policy: budgets, phases, verdicts.
 //!
-//! The rotation loop in `server.rs` never camps on a socket — it
-//! reads what a connection has to offer, then either serves, parks,
-//! or closes it. *Which* of those happens is decided here, by a pure
-//! policy core: every method takes an explicit `now_ms`, so the unit
-//! suite can replay a slow-loris, a byte-dripper, or an idle keep-alive
-//! session with a scripted clock and no sockets at all.
+//! A worker in `server.rs` never camps on a socket — it reads what a
+//! connection has to offer, then either serves, parks, or closes it.
+//! *Which* of those happens is decided here, by a pure policy core, and
+//! so is how long the reactor may wait on a parked connection
+//! ([`ConnGauge::deadline_ms`]): every method takes an explicit
+//! `now_ms`, so the unit suite can replay a slow-loris, a byte-dripper,
+//! or an idle keep-alive session with a scripted clock and no sockets
+//! at all.
 //!
 //! The model: a connection is always in one [`Phase`]. Time spent
 //! in [`Phase::Idle`] accrues against a *total* idle budget for the
@@ -140,11 +142,12 @@ impl CloseCause {
     }
 }
 
-/// The rotation loop's decision for a connection that has nothing
-/// more to offer this slice.
+/// A worker's decision for a connection that has nothing more to offer
+/// this slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Put it back on the queue; its budgets still have room.
+    /// Park it until its socket is ready or a deadline is due; its
+    /// budgets still have room.
     Park,
     /// Recycle it, for the given cause.
     Close(CloseCause),
@@ -261,6 +264,20 @@ impl ConnGauge {
         self.phase = Phase::Idle;
         self.phase_start_ms = now_ms;
         self.requests >= policy.max_requests
+    }
+
+    /// The clock value at which [`ConnGauge::stalled`] turns from
+    /// `Park` to `Close` if nothing happens first: the time the
+    /// server's reactor may wait for a parked connection. An exhausted
+    /// idle budget gives a deadline at or before now.
+    pub fn deadline_ms(&self, policy: &ConnPolicy) -> u64 {
+        let allowance = match self.phase {
+            Phase::Idle => policy.idle_budget_ms.saturating_sub(self.idle_spent_ms),
+            Phase::Head => policy.header_deadline_ms,
+            Phase::Body => policy.body_deadline_ms,
+            Phase::Write => policy.write_stall_ms,
+        };
+        self.phase_start_ms.saturating_add(allowance)
     }
 
     /// The verdict for a connection that yielded no progress this
@@ -479,6 +496,55 @@ mod tests {
         assert_eq!(g.idle_spent_ms(50), 40);
         assert_eq!(g.stalled(&p, 99), Verdict::Park);
         assert_eq!(g.stalled(&p, 110), Verdict::Close(CloseCause::IdleBudget));
+    }
+
+    /// `deadline_ms` is the exact clock value where `stalled` turns.
+    fn assert_turns_at_deadline(g: &ConnGauge, p: &ConnPolicy, cause: CloseCause) {
+        let deadline = g.deadline_ms(p);
+        assert_eq!(g.stalled(p, deadline - 1), Verdict::Park, "{cause:?}");
+        assert_eq!(g.stalled(p, deadline), Verdict::Close(cause), "{cause:?}");
+    }
+
+    #[test]
+    fn deadline_is_where_each_phase_stops_parking() {
+        let p = policy();
+
+        // Idle budget spent across two stretches: 60 ms, a request,
+        // then the remaining 40 ms from t=61.
+        let mut idle = ConnGauge::new(0);
+        idle.observe(Pending::Head, 60);
+        idle.request_served(&p, 61);
+        assert_eq!(idle.deadline_ms(&p), 101);
+        assert_turns_at_deadline(&idle, &p, CloseCause::IdleBudget);
+
+        let mut head = ConnGauge::new(0);
+        head.observe(Pending::Head, 5);
+        assert_eq!(head.deadline_ms(&p), 25);
+        assert_turns_at_deadline(&head, &p, CloseCause::HeaderStall);
+
+        let mut body = ConnGauge::new(0);
+        body.observe(Pending::Head, 2);
+        body.observe(Pending::Body, 20);
+        assert_eq!(body.deadline_ms(&p), 50);
+        assert_turns_at_deadline(&body, &p, CloseCause::BodyStall);
+
+        // Progress on a blocked write re-arms the write deadline.
+        let mut write = ConnGauge::new(0);
+        write.write_blocked(10);
+        write.write_progress(24);
+        assert_eq!(write.deadline_ms(&p), 39);
+        assert_turns_at_deadline(&write, &p, CloseCause::WriteStall);
+    }
+
+    #[test]
+    fn an_exhausted_idle_budget_is_due_at_once() {
+        let p = policy();
+        let mut g = ConnGauge::new(0);
+        // 100 ms idle before the first byte spends the whole budget.
+        g.observe(Pending::Head, 100);
+        g.request_served(&p, 101);
+        assert!(g.deadline_ms(&p) <= 101, "due at or before now");
+        assert_eq!(g.stalled(&p, 101), Verdict::Close(CloseCause::IdleBudget));
     }
 
     #[test]

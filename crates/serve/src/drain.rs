@@ -9,7 +9,8 @@
 //!
 //! 1. `begin` flips the flag; `/healthz` starts reporting
 //!    `"drain_state":"draining"`.
-//! 2. The acceptor stops accepting and closes the work queue.
+//! 2. The reactor wakes, stops accepting, hands every parked
+//!    connection to the workers and closes the work queue.
 //! 3. Workers finish in-flight requests: every complete buffered
 //!    request on every remaining connection is answered, the final
 //!    response per connection carries `Connection: close`.
@@ -76,7 +77,8 @@ impl DrainState {
             && now_ms.saturating_sub(self.began_ms.load(Ordering::SeqCst)) >= self.force_deadline_ms
     }
 
-    /// Milliseconds left until the hard deadline (0 once passed).
+    /// Milliseconds left until the hard deadline (0 once passed): how
+    /// long the drain may wait on one socket.
     pub fn deadline_remaining_ms(&self, now_ms: u64) -> u64 {
         if !self.is_draining() {
             return self.force_deadline_ms;

@@ -32,11 +32,17 @@
 //! * [`drain`] — graceful-shutdown bookkeeping: the draining flag,
 //!   the force-close hard deadline, and the [`drain::DrainStats`]
 //!   report `shutdown()` returns.
-//! * [`server`] — non-blocking accept plus a worker **rotation loop**
-//!   over [`synthattr_util::pool::WorkQueue`]: workers park
-//!   connections that yield no bytes instead of camping on them, so
-//!   hostile connections hold sockets, never threads; serving and
-//!   draining take requests off a connection through one intake; a
+//! * `readiness` (private) — a declared `poll(2)` and the safe `wait`
+//!   around the workspace's only `unsafe` block; std already links the
+//!   C library, so no crate is added.
+//! * [`server`] — a **reactor** thread plus workers over
+//!   [`synthattr_util::pool::WorkQueue`]: the reactor owns the parked
+//!   connections and blocks in one `poll(2)` until a socket is ready
+//!   or a budget deadline is due, then hands the connection to a
+//!   worker; workers hand back connections that yield no bytes instead
+//!   of camping on them, so hostile connections hold sockets, never
+//!   threads, and nothing sleeps on a timer; serving and draining take
+//!   requests off a connection through one intake; a
 //!   [`synthattr_faults::CircuitBreaker`] guards the transform engine
 //!   and surfaces on `/healthz` as `ok`/`degraded`/`draining`.
 //! * [`client`] — the minimal blocking client the e2e tests and
@@ -47,11 +53,16 @@
 //! `tests/serve_e2e.rs`: a served `/attribute` response is
 //! **byte-identical** to what the offline pipeline's oracle produces
 //! for the same source, at any worker count and client concurrency —
-//! caching and connection rotation change scheduling, never results.
+//! caching and the reactor change scheduling, never results.
 //! The survivability claims get their own live-TCP proof in
 //! `tests/serve_chaos.rs` (hostile traffic from
 //! `synthattr_faults::TrafficProfile`) and `tests/serve_drain.rs`
 //! (shutdown racing pipelined bursts drops zero responses).
+
+#![deny(unsafe_code)]
+
+#[cfg(not(unix))]
+compile_error!("synthattr-serve waits on poll(2) and needs a unix target");
 
 pub mod client;
 pub mod conn;
@@ -59,6 +70,9 @@ pub mod drain;
 pub mod http;
 pub mod json;
 pub mod limit;
+#[cfg(unix)]
+#[allow(unsafe_code)]
+mod readiness;
 pub mod registry;
 pub mod server;
 

@@ -1,16 +1,18 @@
-//! The attribution server: listener, rotation loop, routing, handlers.
+//! The attribution server: reactor, workers, routing, handlers.
 //!
-//! Threading is an accept/worker split built on
-//! [`synthattr_util::pool`], hardened for hostile connections: the
-//! acceptor runs a **non-blocking** accept loop and parks each
-//! accepted connection on a blocking [`WorkQueue`]; `workers` threads
-//! (resolved by the same `SYNTHATTR_WORKERS` machinery as the offline
-//! pipeline) **rotate** over the parked set. A worker pops a
-//! connection, reads whatever it has to offer without blocking,
-//! serves every complete pipelined request, and *parks the
-//! connection back* the moment it stops yielding bytes — so a
-//! slow-loris army holds open sockets, never worker threads. Each
-//! request is parsed once, off the connection's buffer, by
+//! Threading is a reactor/worker split, hardened for hostile
+//! connections. Sockets are **non-blocking**. The reactor thread owns
+//! every parked connection and blocks in one `poll(2)` over the
+//! listener, a wake socket and every parked socket, with the earliest
+//! budget deadline as its timeout ([`crate::conn::ConnGauge::deadline_ms`]).
+//! It accepts new connections and hands ready or due ones to `workers`
+//! threads (resolved by the same `SYNTHATTR_WORKERS` machinery as the
+//! offline pipeline) over a blocking [`WorkQueue`]. A worker reads
+//! whatever the connection has to offer, serves every complete
+//! pipelined request, and *hands the connection back* the moment it
+//! stops yielding bytes — so a slow-loris army holds open sockets,
+//! never worker threads, and an idle worker sleeps in `pop`, not on a
+//! timer. Each request is parsed once, off the connection's buffer, by
 //! [`crate::http::parse_request`], through one intake both the serving
 //! loop and the drain use. Budgets ([`crate::conn::ConnPolicy`]:
 //! lifetime idle budget, header/body progress deadlines, max requests
@@ -41,10 +43,11 @@
 //! registry trains through the offline pipeline's code path, feature
 //! extraction is cached but pure, and prediction is per row — so
 //! responses are byte-identical across worker counts, client counts,
-//! rotation schedules, and restarts.
+//! scheduling, and restarts.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -65,19 +68,16 @@ use crate::drain::{DrainState, DrainStats};
 use crate::http::{parse_request, HttpError, Limits, Parsed, Pending, Request, Response};
 use crate::json;
 use crate::limit::{RateConfig, RateLimiter};
+use crate::readiness::{self, PollFd};
 use crate::registry::ModelRegistry;
 
 /// Upper bound on `steps` per `/transform` call, so one request cannot
 /// monopolize a worker.
 const MAX_TRANSFORM_STEPS: usize = 64;
 
-/// Requests served per drive slice before the connection is parked
-/// again, so one pipelining client cannot monopolize a worker.
+/// Requests served per drive slice before the connection goes back on
+/// the work queue, so one pipelining client cannot monopolize a worker.
 const MAX_REQUESTS_PER_SLICE: u32 = 32;
-
-/// Cap on the exponential back-off a worker sleeps after an
-/// unproductive sweep of the parked set, bounding idle spin.
-const ROTATION_BACKOFF_MS: u64 = 5;
 
 /// Server tuning.
 #[derive(Debug, Clone)]
@@ -168,6 +168,9 @@ pub struct ServerState {
     conns: ConnCounters,
     drain: DrainState,
     started: Instant,
+    /// Write end of the reactor's wake socket; `None` until
+    /// [`Server::bind`] pairs the state with a reactor.
+    waker: Option<UnixStream>,
 }
 
 impl ServerState {
@@ -187,6 +190,7 @@ impl ServerState {
             conns: ConnCounters::default(),
             drain: DrainState::new(config.drain_deadline_ms),
             started: Instant::now(),
+            waker: None,
             registry,
             config,
         };
@@ -225,11 +229,20 @@ impl ServerState {
     }
 
     /// Starts the graceful drain: `/healthz` flips to `draining`, the
-    /// acceptor stops, and workers finish in-flight requests.
-    /// Idempotent; normally reached through
+    /// reactor wakes and stops accepting, and workers finish in-flight
+    /// requests. Idempotent; normally reached through
     /// [`RunningServer::shutdown`].
     pub fn begin_drain(&self) {
         self.drain.begin(self.now_ms());
+        self.wake();
+    }
+
+    /// Interrupts the reactor's wait. A full wake socket already holds
+    /// an unread byte, so a refused write loses nothing.
+    fn wake(&self) {
+        if let Some(waker) = &self.waker {
+            let _ = (&*waker).write(&[1]);
+        }
     }
 
     /// Milliseconds since the server started — the limiter's clock.
@@ -596,6 +609,9 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
     workers: usize,
+    /// Read end of the reactor's wake socket (the state holds the
+    /// write end).
+    wake: UnixStream,
 }
 
 impl Server {
@@ -604,16 +620,21 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Socket errors from [`TcpListener::bind`]; registry
-    /// configuration errors surface as `InvalidInput`.
+    /// Socket errors from [`TcpListener::bind`] and the wake socket;
+    /// registry configuration errors surface as `InvalidInput`.
     pub fn bind(addr: &str, config: ServeConfig) -> std::io::Result<Server> {
         let workers = pool::resolve_workers(config.workers);
-        let state = ServerState::new(config)
+        let mut state = ServerState::new(config)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
+        let (wake, waker) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        waker.set_nonblocking(true)?;
+        state.waker = Some(waker);
         Ok(Server {
             listener: TcpListener::bind(addr)?,
             state: Arc::new(state),
             workers,
+            wake,
         })
     }
 
@@ -631,57 +652,27 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// Runs the non-blocking accept loop on the calling thread,
-    /// serving on `workers` rotation threads, until
-    /// [`RunningServer::shutdown`] begins the drain (or a listener
-    /// error). Normally reached through [`Server::spawn`].
+    /// Runs the reactor on the calling thread, serving on `workers`
+    /// threads, until [`RunningServer::shutdown`] begins the drain. A
+    /// failed readiness wait begins the drain too, and is returned once
+    /// the workers have finished. Normally reached through
+    /// [`Server::spawn`].
+    ///
+    /// # Errors
+    ///
+    /// Setting the listener non-blocking, or the `poll(2)` failure that
+    /// stopped the reactor.
     pub fn run(self) -> std::io::Result<()> {
         let queue: WorkQueue<Conn> = WorkQueue::new();
+        let inbox = Inbox::new();
         let state = &self.state;
         self.listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
-                scope.spawn(|| worker_loop(state, &queue));
+                scope.spawn(|| worker_loop(state, &queue, &inbox));
             }
-            // Non-blocking accept: new connections are configured and
-            // parked; the 1 ms poll doubles as the drain-flag check,
-            // so shutdown needs no wake-up connection.
-            loop {
-                if state.drain.is_draining() {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        // Small exchanges stall ~40 ms per round trip
-                        // under Nagle + delayed ACK; responses go out
-                        // in one buffer anyway.
-                        let _ = stream.set_nodelay(true);
-                        state.conns.on_accept();
-                        let conn = Conn::new(stream, state.now_ms());
-                        state.conns.on_park();
-                        if queue.offer(conn).is_err() {
-                            // Unreachable before the drain closes the
-                            // queue; dispose deliberately regardless.
-                            state.conns.on_resume();
-                            state.conns.on_close(CloseCause::Forced);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-            // Closing the queue flips every worker into drain mode:
-            // remaining parked connections pop with the drain flag up,
-            // and further parks bounce back for inline drain service.
-            queue.close();
-        });
-        Ok(())
+            react(state, &self.listener, &self.wake, &queue, &inbox)
+        })
     }
 
     /// Starts the server on a background thread and returns a handle
@@ -702,7 +693,7 @@ impl Server {
     }
 }
 
-/// A live server: address, shared state, and the accept-loop thread.
+/// A live server: address, shared state, and the reactor thread.
 #[derive(Debug)]
 pub struct RunningServer {
     addr: SocketAddr,
@@ -734,8 +725,8 @@ impl RunningServer {
     }
 }
 
-/// One live connection as the rotation loop carries it: the
-/// non-blocking socket, buffered request bytes, not-yet-flushed
+/// One live connection as the reactor and the workers pass it around:
+/// the non-blocking socket, buffered request bytes, not-yet-flushed
 /// response bytes, and the budget gauge.
 #[derive(Debug)]
 struct Conn {
@@ -769,6 +760,163 @@ impl Conn {
     /// Queues a response for writing.
     fn enqueue(&mut self, response: &Response) {
         self.pending.extend_from_slice(&response.to_bytes());
+    }
+
+    /// What a parked connection waits for: room to write while a
+    /// response is pending, request bytes otherwise.
+    fn interest(&self) -> PollFd {
+        if self.pending.is_empty() {
+            PollFd::readable(&self.stream)
+        } else {
+            PollFd::writable(&self.stream)
+        }
+    }
+}
+
+/// Connections the workers hand back to the reactor; `None` once the
+/// reactor has handed its last connections to the workers.
+#[derive(Debug)]
+struct Inbox(Mutex<Option<Vec<Conn>>>);
+
+impl Inbox {
+    fn new() -> Self {
+        Inbox(Mutex::new(Some(Vec::new())))
+    }
+
+    /// Hands `conn` back to the reactor, waking it when the inbox was
+    /// empty (a non-empty inbox has a wake byte on its way already).
+    /// `Err(conn)` once the reactor has stopped.
+    fn park(&self, state: &ServerState, conn: Conn) -> Result<(), Conn> {
+        let mut inbox = self.0.lock().expect("inbox poisoned");
+        let Some(conns) = inbox.as_mut() else {
+            return Err(conn);
+        };
+        conns.push(conn);
+        let first = conns.len() == 1;
+        drop(inbox);
+        if first {
+            state.wake();
+        }
+        Ok(())
+    }
+
+    /// Everything handed back since the last call.
+    fn take(&self) -> Vec<Conn> {
+        let mut inbox = self.0.lock().expect("inbox poisoned");
+        inbox.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Refuses further hand-backs and returns the last ones.
+    fn close(&self) -> Vec<Conn> {
+        self.0
+            .lock()
+            .expect("inbox poisoned")
+            .take()
+            .unwrap_or_default()
+    }
+}
+
+/// The reactor: owns the parked connections and blocks in one
+/// `poll(2)` over the wake socket, the listener and every parked
+/// socket, until the earliest budget deadline. Ready or due
+/// connections go to the workers; workers hand the others back through
+/// `inbox` and wake it. When the drain begins it hands every parked
+/// connection to the workers and closes the queue. Only the reactor
+/// closes the queue, so its pushes never bounce.
+fn react(
+    state: &ServerState,
+    listener: &TcpListener,
+    wake: &UnixStream,
+    queue: &WorkQueue<Conn>,
+    inbox: &Inbox,
+) -> io::Result<()> {
+    const WAKE: usize = 0;
+    const LISTENER: usize = 1;
+    let policy = &state.config.conn;
+    let mut parked: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    // False for one wait after an accept error that leaves the listener
+    // readable (`EMFILE`, say): polling it again would spin.
+    let mut listening = true;
+    let result = loop {
+        if state.drain.is_draining() {
+            break Ok(());
+        }
+        let now = state.now_ms();
+        let mut timeout_ms = parked
+            .iter()
+            .map(|conn| conn.gauge.deadline_ms(policy).saturating_sub(now))
+            .min();
+        fds.clear();
+        fds.push(PollFd::readable(wake));
+        if listening {
+            fds.push(PollFd::readable(listener));
+        } else {
+            timeout_ms = Some(timeout_ms.map_or(1, |ms| ms.min(1)));
+        }
+        let first_parked = fds.len();
+        fds.extend(parked.iter().map(Conn::interest));
+        if let Err(e) = readiness::wait(&mut fds, timeout_ms.map(Duration::from_millis)) {
+            state.begin_drain();
+            break Err(e);
+        }
+
+        let now = state.now_ms();
+        for (conn, fd) in std::mem::take(&mut parked)
+            .into_iter()
+            .zip(&fds[first_parked..])
+        {
+            if fd.is_ready() || conn.gauge.deadline_ms(policy) <= now {
+                queue.push(conn);
+            } else {
+                parked.push(conn);
+            }
+        }
+        if fds[WAKE].is_ready() {
+            // Drain the wake bytes before taking the inbox, so a
+            // hand-back after the take leaves a byte for the next wait.
+            let mut sink = [0u8; 64];
+            while matches!((&*wake).read(&mut sink), Ok(n) if n > 0) {}
+            parked.extend(inbox.take());
+        }
+        if !listening {
+            listening = true;
+        } else if fds[LISTENER].is_ready() {
+            listening = accept_all(state, listener, &mut parked);
+        }
+    };
+    // Every parked connection, and every one handed back until now,
+    // goes to the workers before the queue closes: popped with the
+    // drain flag up, each is drained. A hand-back after this drains
+    // inline on its worker.
+    for conn in parked.into_iter().chain(inbox.close()) {
+        queue.push(conn);
+    }
+    queue.close();
+    result
+}
+
+/// Accepts every pending connection into `parked`. Returns `false`
+/// after an accept error other than `WouldBlock` or `Interrupted`.
+fn accept_all(state: &ServerState, listener: &TcpListener, parked: &mut Vec<Conn>) -> bool {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                // Small exchanges stall ~40 ms per round trip under
+                // Nagle + delayed ACK; responses go out in one buffer
+                // anyway.
+                let _ = stream.set_nodelay(true);
+                state.conns.on_accept();
+                state.conns.on_park();
+                parked.push(Conn::new(stream, state.now_ms()));
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
     }
 }
 
@@ -810,25 +958,24 @@ fn flush(conn: &mut Conn) -> io::Result<Flush> {
     }
 }
 
-/// The rotation loop's decision for a driven connection, plus whether
-/// the slice did any real work (for the workers' idle back-off).
-struct DriveOutcome {
-    verdict: Verdict,
-    productive: bool,
+/// What a worker does with a connection after its slice.
+enum Next {
+    /// Retire it, for this cause.
+    Close(CloseCause),
+    /// Hand it back to the reactor until its socket is ready or a
+    /// budget deadline is due.
+    Park,
+    /// Put it straight back on the work queue: the slice was cut at
+    /// [`MAX_REQUESTS_PER_SLICE`] with requests already buffered, and
+    /// its socket may never turn readable again.
+    Requeue,
 }
 
-impl DriveOutcome {
-    fn close(cause: CloseCause, productive: bool) -> Self {
-        DriveOutcome {
-            verdict: Verdict::Close(cause),
-            productive,
-        }
-    }
-
-    fn park(productive: bool) -> Self {
-        DriveOutcome {
-            verdict: Verdict::Park,
-            productive,
+impl From<Verdict> for Next {
+    fn from(verdict: Verdict) -> Self {
+        match verdict {
+            Verdict::Park => Next::Park,
+            Verdict::Close(cause) => Next::Close(cause),
         }
     }
 }
@@ -874,13 +1021,11 @@ fn take_request(state: &ServerState, conn: &mut Conn) -> Intake {
 /// Drives one connection for one slice: flush what we owe, serve every
 /// complete buffered request, read until the socket runs dry, then
 /// park or close per the budget gauge. Never blocks.
-fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
+fn drive(state: &ServerState, conn: &mut Conn) -> Next {
     if state.drain.is_draining() {
-        let cause = drain_serve(state, conn);
-        return DriveOutcome::close(cause, true);
+        return Next::Close(drain_serve(state, conn));
     }
     let policy = &state.config.conn;
-    let mut productive = false;
 
     // A previously blocked response write gets first claim on the
     // slice; reading more requests while the peer won't take answers
@@ -888,24 +1033,20 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
     if !conn.pending.is_empty() {
         let now = state.now_ms();
         match flush(conn) {
-            Err(_) => return DriveOutcome::close(CloseCause::HostileReset, false),
+            Err(_) => return Next::Close(CloseCause::HostileReset),
             Ok(Flush::Blocked) => {
                 conn.gauge.write_blocked(now);
-                return DriveOutcome {
-                    verdict: conn.gauge.stalled(policy, now),
-                    productive: false,
-                };
+                return conn.gauge.stalled(policy, now).into();
             }
             Ok(Flush::Progress) => {
                 conn.gauge.write_blocked(now);
                 conn.gauge.write_progress(now);
-                return DriveOutcome::park(true);
+                return Next::Park;
             }
             Ok(Flush::Done) => {
                 conn.gauge.write_drained(now);
-                productive = true;
                 if let Some(cause) = conn.close_after_write {
-                    return DriveOutcome::close(cause, true);
+                    return Next::Close(cause);
                 }
             }
         }
@@ -932,12 +1073,10 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
                     }
                     conn.enqueue(&response);
                     served_in_slice += 1;
-                    productive = true;
                 }
                 Intake::Reject(response) => {
                     conn.enqueue(&response);
                     conn.close_after_write = Some(CloseCause::BadRequest);
-                    productive = true;
                 }
                 Intake::Pending(pending) => {
                     conn.gauge.observe(pending, state.now_ms());
@@ -950,41 +1089,32 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
         if !conn.pending.is_empty() {
             let now = state.now_ms();
             match flush(conn) {
-                Err(_) => return DriveOutcome::close(CloseCause::HostileReset, productive),
+                Err(_) => return Next::Close(CloseCause::HostileReset),
                 Ok(Flush::Done) => conn.gauge.write_drained(now),
                 Ok(Flush::Progress) | Ok(Flush::Blocked) => {
                     conn.gauge.write_blocked(now);
-                    return DriveOutcome {
-                        verdict: conn.gauge.stalled(policy, now),
-                        productive,
-                    };
+                    return conn.gauge.stalled(policy, now).into();
                 }
             }
         }
         if let Some(cause) = conn.close_after_write {
-            return DriveOutcome::close(cause, productive);
+            return Next::Close(cause);
         }
         if served_in_slice >= MAX_REQUESTS_PER_SLICE {
             // Fairness: a hot pipelining peer yields the worker.
-            return DriveOutcome::park(productive);
+            return Next::Requeue;
         }
         if conn.eof {
             // The intake answered any request the EOF cut short, so the
             // peer closed between requests.
-            return DriveOutcome::close(CloseCause::PeerClosed, productive);
+            return Next::Close(CloseCause::PeerClosed);
         }
 
         // Pull whatever the socket has.
         let mut chunk = [0u8; 8192];
         match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.eof = true;
-                productive = true;
-            }
-            Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
-                productive = true;
-            }
+            Ok(0) => conn.eof = true,
+            Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 let now = state.now_ms();
                 let verdict = conn.gauge.stalled(policy, now);
@@ -996,21 +1126,25 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
                         let _ = flush(conn);
                     }
                 }
-                return DriveOutcome {
-                    verdict,
-                    productive,
-                };
+                return verdict.into();
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return DriveOutcome::close(CloseCause::HostileReset, productive),
+            Err(_) => return Next::Close(CloseCause::HostileReset),
         }
     }
 }
 
+/// Waits, at most until the drain's hard deadline, for one socket to
+/// turn ready.
+fn drain_wait(state: &ServerState, fd: PollFd) -> io::Result<usize> {
+    let remaining_ms = state.drain.deadline_remaining_ms(state.now_ms());
+    readiness::wait(&mut [fd], Some(Duration::from_millis(remaining_ms)))
+}
+
 /// Serves a connection during the drain: complete every in-flight
-/// request (polling briefly for bytes already on the wire), mark the
-/// final response `Connection: close`, flush with the hard deadline
-/// as the bound, and report how the connection ended.
+/// request (waiting, up to the hard deadline, for bytes already on
+/// their way), mark the final response `Connection: close`, flush with
+/// the hard deadline as the bound, and report how the connection ended.
 fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
     let mut responses: Vec<Response> = Vec::new();
     let mut hostile = false;
@@ -1028,15 +1162,18 @@ fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
             }
             Intake::Pending(Pending::Empty) => break,
             Intake::Pending(Pending::Head | Pending::Body) => {
-                // An in-flight request: poll briefly for bytes already
-                // on the wire. New requests are not waited for — only
-                // started ones are finished.
+                // An in-flight request: wait for the rest of its bytes.
+                // New requests are not waited for — only started ones
+                // are finished.
                 let mut chunk = [0u8; 8192];
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => conn.eof = true,
                     Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
+                        if drain_wait(state, PollFd::readable(&conn.stream)).is_err() {
+                            hostile = true;
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
@@ -1066,7 +1203,11 @@ fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
         match flush(conn) {
             Ok(Flush::Done) => break,
             Ok(Flush::Progress) => {}
-            Ok(Flush::Blocked) => std::thread::sleep(Duration::from_millis(1)),
+            Ok(Flush::Blocked) => {
+                if drain_wait(state, PollFd::writable(&conn.stream)).is_err() {
+                    hostile = true;
+                }
+            }
             Err(_) => {
                 hostile = true;
                 break;
@@ -1085,52 +1226,41 @@ fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
     }
 }
 
-/// One rotation worker: pop a parked connection, drive it for a
-/// slice, park it back or retire it, and back off exponentially when
-/// a full sweep of the open set yields nothing (bounding idle spin at
-/// [`ROTATION_BACKOFF_MS`] per sweep).
-fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>) {
-    let mut idle_streak: u64 = 0;
-    let mut backoff_ms: u64 = 1;
+/// One worker: block in `pop` until the reactor hands over a ready or
+/// due connection (or a slice cut short comes back), drive it for a
+/// slice, then retire it, requeue it, or hand it back to the reactor.
+fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>, inbox: &Inbox) {
     while let Some(mut conn) = queue.pop() {
         state.conns.on_resume();
         // A handler panic must cost one connection, not the worker.
-        let outcome = match catch_unwind(AssertUnwindSafe(|| drive(state, &mut conn))) {
-            Ok(outcome) => outcome,
+        let next = match catch_unwind(AssertUnwindSafe(|| drive(state, &mut conn))) {
+            Ok(next) => next,
             Err(_) => {
                 state.stats.panics.fetch_add(1, Ordering::Relaxed);
-                DriveOutcome::close(CloseCause::HostileReset, true)
+                Next::Close(CloseCause::HostileReset)
             }
         };
-        match outcome.verdict {
-            Verdict::Close(cause) => {
+        let handed = match next {
+            Next::Close(cause) => {
                 state.conns.on_close(cause);
-                drop(conn);
+                continue;
             }
-            Verdict::Park => {
+            Next::Park => {
                 state.conns.on_park();
-                if let Err(mut conn) = queue.offer(conn) {
-                    // The drain closed the queue between our drain
-                    // check and the park: finish the connection here
-                    // instead of slamming it shut.
-                    state.conns.on_resume();
-                    let cause = drain_serve(state, &mut conn);
-                    state.conns.on_close(cause);
-                }
+                inbox.park(state, conn)
             }
-        }
-        if outcome.productive {
-            idle_streak = 0;
-            backoff_ms = 1;
-        } else {
-            idle_streak += 1;
-            if idle_streak >= state.conns.open_now().max(1) {
-                // A whole sweep with no progress: sleep instead of
-                // spinning the park/pop cycle.
-                std::thread::sleep(Duration::from_millis(backoff_ms));
-                backoff_ms = (backoff_ms * 2).min(ROTATION_BACKOFF_MS);
-                idle_streak = 0;
+            Next::Requeue => {
+                state.conns.on_park();
+                queue.offer(conn)
             }
+        };
+        if let Err(mut conn) = handed {
+            // The drain stopped the reactor between our drain check and
+            // the hand-back: finish the connection here instead of
+            // slamming it shut.
+            state.conns.on_resume();
+            let cause = drain_serve(state, &mut conn);
+            state.conns.on_close(cause);
         }
     }
 }

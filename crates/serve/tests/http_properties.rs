@@ -380,5 +380,26 @@ fn live_server_answers_pipelined_requests_in_order() {
         vec!["200", "404", "200"],
         "three pipelined requests, three ordered responses: {text:.200}"
     );
+
+    // More requests than one slice serves, all buffered by the first
+    // read: a slice cut short goes straight back to a worker, because
+    // the socket never turns readable again. Parking it instead would
+    // wait out the 2 s idle budget once per slice.
+    let mut burst: Vec<u8> = b"GET /healthz HTTP/1.1\r\n\r\n".repeat(99);
+    burst.extend_from_slice(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let started = Instant::now();
+    let reply = exchange_raw(&server, &burst, false);
+    let elapsed = started.elapsed();
+    let text = String::from_utf8_lossy(&reply);
+    let statuses: Vec<&str> = text
+        .split("HTTP/1.1 ")
+        .skip(1)
+        .map(|chunk| &chunk[..3])
+        .collect();
+    assert_eq!(statuses, vec!["200"; 100], "100 ordered 200s");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 pipelined requests took {elapsed:?}"
+    );
     server.shutdown();
 }

@@ -36,6 +36,8 @@
 //! assert!((0.0..1.0).contains(&x));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod hash;
 pub mod json;
 pub mod pool;

@@ -26,6 +26,8 @@
 #                                     #   -D warnings across all
 #                                     #   targets + cargo fmt --check
 #                                     #   + rustdoc with -D warnings
+#                                     #   + the serve crate's tests
+#                                     #   in a release build
 #   SYNTHATTR_WORKERS=1 scripts/verify.sh   # serial, for timing noise
 #
 # Each flag adds a check that plain tier-1 does not run; every test
@@ -59,7 +61,11 @@
 # target with warnings denied, rustfmt in check mode, then rustdoc
 # with warnings denied, so a deleted or private item cannot leave a
 # dangling intra-doc link. All three must stay clean — new code rides
-# this stage in CI.
+# this stage in CI. It then runs synthattr-serve's tests in a release
+# build: that crate holds the workspace's one `unsafe` block (the
+# poll(2) call in its readiness module), and a release build tests it
+# as it ships, without the debug assertions and overflow checks of the
+# test profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -133,6 +139,8 @@ if [[ "$STRICT" == "1" ]]; then
   cargo fmt --check
   echo "== strict: cargo doc --no-deps --workspace -D warnings ==" >&2
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+  echo "== strict: cargo test --release -p synthattr-serve ==" >&2
+  cargo test --release --offline -p synthattr-serve
 fi
 
 echo "verify: OK" >&2

@@ -17,6 +17,8 @@
 //! `--smoke` runs the reduced configuration (seconds instead of
 //! minutes) through identical code paths.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use synthattr_core::config::ExperimentConfig;
 use synthattr_core::experiments::{attribution, binary, datasets, diversity, figures, styles};

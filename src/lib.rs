@@ -36,6 +36,8 @@
 //! | [`core`] | `synthattr-core` | attribution pipelines + experiments |
 //! | [`serve`] | `synthattr-serve` | attribution-as-a-service HTTP server |
 
+#![forbid(unsafe_code)]
+
 pub use synthattr_analysis as analysis;
 pub use synthattr_core as core;
 pub use synthattr_faults as faults;

@@ -362,8 +362,9 @@ fn mixed_hostile_fleet_leaves_the_server_healthy() {
     });
 
     // Every hostile connection is eventually closed and accounted —
-    // parked sockets are discovered on the next rotation sweep, so
-    // give the counters a moment to converge.
+    // the reactor hands a parked socket to a worker when it turns
+    // ready or its budget deadline falls due, so give the counters a
+    // moment to converge.
     let causes = [
         "peer_closed",
         "client_close",
