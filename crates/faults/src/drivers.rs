@@ -25,7 +25,8 @@ use crate::plan::CallScope;
 use crate::retry::RetryBudget;
 use crate::service::{CallTrace, FaultyTransformer};
 use synthattr_gen::corpus::Origin;
-use synthattr_gpt::incr::{FrontendCache, RegionInfo};
+use synthattr_gpt::incr::{detect_with_regions, FrontendCache, RegionInfo};
+use synthattr_gpt::transform::detect_render_style;
 use synthattr_gpt::{GptError, TransformMode, TransformedSample};
 use synthattr_lang::{parse, TranslationUnit};
 use synthattr_util::Pcg64;
@@ -148,11 +149,11 @@ pub fn run_ct_resilient(
 }
 
 /// Runs non-chaining transformation under fault injection, given the
-/// seed's parsed AST. The validation expectation is computed once for
-/// the whole stream (every step transforms the same seed), every
-/// attempt runs through the node cache `fc`, and each produced step
-/// comes back with its AST and region structure for incremental
-/// downstream featurization.
+/// seed's parsed AST. The seed's layout and validation expectation are
+/// computed once for the whole stream (every step and resample
+/// transforms the same seed), every attempt runs through the node
+/// cache `fc`, and each produced step comes back with its AST and
+/// region structure for incremental downstream featurization.
 ///
 /// # Errors
 ///
@@ -172,6 +173,7 @@ pub fn run_nct_resilient_cached(
 ) -> Result<CachedRun, GptError> {
     let pool = svc.pool();
     let year = pool.year;
+    let seed_render = detect_render_style(seed_code);
     let seed_exp = svc.prepare(seed_unit);
     let mut samples = Vec::with_capacity(n);
     let mut units = Vec::with_capacity(n);
@@ -186,7 +188,7 @@ pub fn run_nct_resilient_cached(
         let first = svc.transform_prepared_cached(
             seed_code,
             seed_unit,
-            None,
+            &seed_render,
             &seed_exp,
             pool_index,
             rng,
@@ -230,7 +232,7 @@ pub fn run_nct_resilient_cached(
                     let resample = svc.transform_prepared_cached(
                         seed_code,
                         seed_unit,
-                        None,
+                        &seed_render,
                         &seed_exp,
                         pool_index,
                         &mut re_rng,
@@ -285,7 +287,9 @@ pub fn run_nct_resilient_cached(
 /// Runs chaining transformation under fault injection, given the
 /// seed's parsed AST. The chain threads each accepted step's AST,
 /// expectation and region structure into the next call, so unchanged
-/// items are never re-rendered, re-parsed or re-scanned.
+/// items are never re-rendered, re-parsed or re-scanned, and detects
+/// each chain head's layout once, before the first call that
+/// transforms it.
 ///
 /// # Errors
 ///
@@ -311,12 +315,13 @@ pub fn run_ct_resilient_cached(
     let mut outcomes = Vec::with_capacity(n);
     let mut stats = ResilienceStats::default();
     let trips_before = cx.breaker.trips();
-    // The chain head: source text, AST, regions and validation
-    // expectation of whatever the next call transforms. Held steps keep
-    // it in place.
+    // The chain head: source text, AST, regions, detected layout and
+    // validation expectation of whatever the next call transforms. Held
+    // steps keep it in place.
     let mut current_source = seed_code.to_string();
     let mut current_unit = seed_unit.clone();
     let mut current_regions: Option<RegionInfo> = None;
+    let mut current_render = None;
     let mut current_exp = svc.prepare(seed_unit);
     let mut style_idx = pool.sample_index(rng);
     for step in 1..=n {
@@ -325,10 +330,14 @@ pub fn run_ct_resilient_cached(
         }
         let scope = CallScope { year, anchor, step };
         let mut trace = CallTrace::default();
+        let src_render = current_render.get_or_insert_with(|| match &current_regions {
+            Some(ri) => detect_with_regions(fc, &current_source, ri),
+            None => detect_render_style(&current_source),
+        });
         let result = svc.transform_prepared_cached(
             &current_source,
             &current_unit,
-            current_regions.as_ref(),
+            src_render,
             &current_exp,
             style_idx,
             rng,
@@ -344,6 +353,7 @@ pub fn run_ct_resilient_cached(
                 current_source = accepted.source;
                 current_unit = accepted.unit;
                 current_regions = Some(accepted.regions);
+                current_render = None;
                 current_exp = accepted.expectation;
                 answered(&trace)
             }

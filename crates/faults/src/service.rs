@@ -15,14 +15,20 @@
 //! succeeds leaves the caller's RNG — and therefore every downstream
 //! byte of the experiment — exactly where a fault-free call would
 //! have. Recovery is *invisible*, not merely statistically similar.
+//!
+//! An attempt redoes only what its fault draw and RNG stream decide:
+//! the rewrite, the render and the validation gate. The input's layout
+//! detection is pure, so callers run it once per input and pass it in
+//! ([`FaultyTransformer::transform_prepared_cached`]).
 
 use crate::breaker::CircuitBreaker;
 use crate::plan::{CallScope, FaultKind, FaultPlan};
 use crate::retry::{RetryBudget, RetryPolicy};
 use crate::validate::{Expectation, ResponseValidator};
-use synthattr_gpt::incr::{detect_with_regions, transform_step_cached, FrontendCache, RegionInfo};
+use synthattr_gpt::incr::{transform_step_cached, FrontendCache, RegionInfo};
 use synthattr_gpt::transform::detect_render_style;
 use synthattr_gpt::{GptError, ResponseViolation, ServiceFault, Transformer, YearPool};
+use synthattr_lang::render::RenderStyle;
 use synthattr_lang::{parse, TranslationUnit};
 use synthattr_util::Pcg64;
 
@@ -114,7 +120,7 @@ impl<'a> FaultyTransformer<'a> {
         self.transform_prepared_cached(
             source,
             &unit,
-            None,
+            &detect_render_style(source),
             &expectation,
             pool_index,
             rng,
@@ -135,15 +141,16 @@ impl<'a> FaultyTransformer<'a> {
     }
 
     /// [`FaultyTransformer::transform`] on an already-parsed input,
-    /// through the node cache `fc`: the caller supplies the input's AST
-    /// and precomputed expectation (from [`FaultyTransformer::prepare`]),
-    /// and the attempt's layout detection, render, diagnostics and
-    /// fingerprint all run through `fc`, so a chain step pays only for
-    /// the items it changed. `regions` is the input's node structure
-    /// when the input was itself produced by a cached step (`None` for
-    /// raw seeds). The accepted response comes back with its AST,
-    /// regions and expectation, so a CT chain feeds it straight into
-    /// the next call with zero re-parses.
+    /// through the node cache `fc`: the caller supplies the input's AST,
+    /// its detected layout `src_render` (equal to
+    /// [`detect_render_style`]`(source)`) and its precomputed
+    /// expectation (from [`FaultyTransformer::prepare`]), so the
+    /// input's layout is detected once however many attempts the call
+    /// takes. Each attempt's render, diagnostics and fingerprint run
+    /// through `fc`, so a chain step pays only for the items it
+    /// changed. The accepted response comes back with its AST, regions
+    /// and expectation, so a CT chain feeds it straight into the next
+    /// call with zero re-parses.
     ///
     /// # Errors
     ///
@@ -155,7 +162,7 @@ impl<'a> FaultyTransformer<'a> {
         &self,
         source: &str,
         unit: &TranslationUnit,
-        regions: Option<&RegionInfo>,
+        src_render: &RenderStyle,
         expectation: &Expectation,
         pool_index: usize,
         rng: &mut Pcg64,
@@ -176,7 +183,7 @@ impl<'a> FaultyTransformer<'a> {
             match self.attempt_cached(
                 source,
                 unit,
-                regions,
+                src_render,
                 pool_index,
                 rng,
                 scope,
@@ -222,7 +229,7 @@ impl<'a> FaultyTransformer<'a> {
         &self,
         source: &str,
         unit: &TranslationUnit,
-        regions: Option<&RegionInfo>,
+        src_render: &RenderStyle,
         pool_index: usize,
         rng: &mut Pcg64,
         scope: &CallScope<'_>,
@@ -251,16 +258,12 @@ impl<'a> FaultyTransformer<'a> {
                 FaultKind::Truncated | FaultKind::Corrupted => {}
             }
         }
-        let src_render = match regions {
-            Some(ri) => detect_with_regions(fc, source, ri),
-            None => detect_render_style(source),
-        };
         let mut attempt_rng = rng.clone();
         let step = match transform_step_cached(
             &self.inner,
             source,
             unit,
-            &src_render,
+            src_render,
             pool_index,
             &mut attempt_rng,
             fc,

@@ -79,7 +79,7 @@ impl FeatureExtractor {
             lexical::push_features(&stats, source_len, &mut out);
         }
         if config.layout {
-            layout::push_features_merged(regions, &mut out);
+            layout::push_features(&RegionLayout::assemble(regions), &mut out);
         }
         if config.syntactic {
             let metrics = MetricsPartial::merge(items.iter().map(|f| &f.metrics));

@@ -8,14 +8,13 @@
 //! at the *node* (top-level item / rendered region) level so unchanged
 //! sub-trees are shared across steps:
 //!
-//! * [`StyleScan`] — the mergeable per-region measurement behind
-//!   layout detection, cached by region text: [`detect_from_scans`]
-//!   merges a step's region scans, and [`detect_render_style`] is the
-//!   same merge over a whole text scanned as one region;
 //! * [`FrontendCache`] — the per-dispatch-unit node cache: rendered
 //!   item text by `(item structural hash, style)`, per-item feature
-//!   partials and per-region layout scans, and whole-unit
-//!   diagnostics/fingerprints by unit structural hash;
+//!   partials, one [`RegionLayout`] scan per region text, and
+//!   whole-unit diagnostics/fingerprints by unit structural hash. A
+//!   region's scan feeds both its layout features and the layout
+//!   detection of the step that transforms it
+//!   ([`detect_with_regions`]);
 //! * [`transform_step_cached`] — one chain step through the caches,
 //!   consuming the exact RNG stream of
 //!   [`Transformer::transform`] and producing byte-identical
@@ -44,192 +43,9 @@ use synthattr_features::incr::ItemFeatures;
 use synthattr_features::layout::RegionLayout;
 use synthattr_lang::ast::Item;
 use synthattr_lang::hash::{item_hash, unit_hash_of};
-use synthattr_lang::render::{
-    render_item_text, separator_plan, BraceStyle, Indent, RegionSpan, RenderStyle,
-};
+use synthattr_lang::render::{render_item_text, separator_plan, RegionSpan, RenderStyle};
 use synthattr_lang::{parse, TranslationUnit};
 use synthattr_util::Pcg64;
-
-// ---------------------------------------------------------------------------
-// Per-region layout-detection partials
-// ---------------------------------------------------------------------------
-
-/// The per-region measurement of layout detection: every counter,
-/// minimum and containment flag the detector reads, measured over one
-/// region (a whole text, or one rendered item), plus the region-edge
-/// flags needed to reconstruct the patterns that span a
-/// region/separator boundary (`"}\n\n"`, `";\n\n"`, `">\n\n"`).
-///
-/// Rendered regions are `'\n'`-terminated and never start with
-/// `'\n'`, and separators are pure newline runs, so no other detector
-/// pattern can cross a boundary: [`detect_from_scans`] over a rendered
-/// text's region scans equals it over one scan of the whole text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StyleScan {
-    tab_lines: usize,
-    indent_lines: usize,
-    min_indent: Option<usize>,
-    own_line: usize,
-    tail_brace: usize,
-    commas: usize,
-    spaced_commas: usize,
-    kw_spaced: usize,
-    kw_tight: usize,
-    braceless: bool,
-    binary_spaced: bool,
-    assign_spaced: bool,
-    template_spaced: bool,
-    blank_after_brace: bool,
-    blank_after_semi: bool,
-    blank_after_angle: bool,
-    ends_brace_nl: bool,
-    ends_semi_nl: bool,
-    ends_angle_nl: bool,
-}
-
-impl StyleScan {
-    /// Measures one region: a whole text, or one rendered item.
-    pub fn scan(region: &str) -> Self {
-        let mut tab_lines = 0usize;
-        let mut indent_lines = 0usize;
-        let mut min_indent: Option<usize> = None;
-        let mut own_line = 0usize;
-        let mut tail_brace = 0usize;
-        let mut braceless = false;
-        for l in region.lines() {
-            let t = l.trim();
-            if !t.is_empty() {
-                let lead: String = l.chars().take_while(|c| *c == ' ' || *c == '\t').collect();
-                if lead.contains('\t') {
-                    tab_lines += 1;
-                } else if !lead.is_empty() {
-                    indent_lines += 1;
-                    min_indent = Some(min_indent.map_or(lead.len(), |m| m.min(lead.len())));
-                }
-            }
-            if t == "{" {
-                own_line += 1;
-            }
-            if t.len() > 1 && t.ends_with('{') {
-                tail_brace += 1;
-            }
-            braceless |= (t.starts_with("if ")
-                || t.starts_with("if(")
-                || t.starts_with("for ")
-                || t.starts_with("for(")
-                || t.starts_with("while ")
-                || t.starts_with("while("))
-                && t.ends_with(')');
-        }
-        StyleScan {
-            tab_lines,
-            indent_lines,
-            min_indent,
-            own_line,
-            tail_brace,
-            commas: region.matches(',').count(),
-            spaced_commas: region.matches(", ").count(),
-            kw_spaced: region.matches("if (").count()
-                + region.matches("for (").count()
-                + region.matches("while (").count(),
-            kw_tight: region.matches("if(").count()
-                + region.matches("for(").count()
-                + region.matches("while(").count(),
-            braceless,
-            binary_spaced: region.contains(" + ")
-                || region.contains(" < ")
-                || region.contains(" << "),
-            assign_spaced: region.contains(" = "),
-            template_spaced: region.contains("> >"),
-            blank_after_brace: region.contains("}\n\n"),
-            blank_after_semi: region.contains(";\n\n"),
-            blank_after_angle: region.contains(">\n\n"),
-            ends_brace_nl: region.ends_with("}\n"),
-            ends_semi_nl: region.ends_with(";\n"),
-            ends_angle_nl: region.ends_with(">\n"),
-        }
-    }
-}
-
-/// Detects the layout style of the text assembled from per-region
-/// scans. `scans` yields `(separator_lines, scan)` in region order,
-/// exactly as
-/// [`render_with_regions`](synthattr_lang::render::render_with_regions)
-/// reports them; a whole text is one region with no separator
-/// ([`detect_render_style`]).
-pub fn detect_from_scans(scans: &[(usize, &StyleScan)]) -> RenderStyle {
-    let mut tab_lines = 0usize;
-    let mut indent_lines = 0usize;
-    let mut min_indent: Option<usize> = None;
-    let mut own_line = 0usize;
-    let mut tail_brace = 0usize;
-    let mut commas = 0usize;
-    let mut spaced_commas = 0usize;
-    let mut kw_spaced = 0usize;
-    let mut kw_tight = 0usize;
-    let mut braceless = false;
-    let mut binary_spaced = false;
-    let mut assign_spaced = false;
-    let mut template_spaced = false;
-    let mut blank_after_brace = false;
-    let mut blank_after_semi = false;
-    let mut blank_after_angle = false;
-    for (i, (sep, s)) in scans.iter().enumerate() {
-        if i > 0 && *sep >= 1 {
-            // A blank separator line turns the previous region's final
-            // `X\n` into `X\n\n` in the assembled text.
-            let prev = scans[i - 1].1;
-            blank_after_brace |= prev.ends_brace_nl;
-            blank_after_semi |= prev.ends_semi_nl;
-            blank_after_angle |= prev.ends_angle_nl;
-        }
-        tab_lines += s.tab_lines;
-        indent_lines += s.indent_lines;
-        if let Some(m) = s.min_indent {
-            min_indent = Some(min_indent.map_or(m, |c| c.min(m)));
-        }
-        own_line += s.own_line;
-        tail_brace += s.tail_brace;
-        commas += s.commas;
-        spaced_commas += s.spaced_commas;
-        kw_spaced += s.kw_spaced;
-        kw_tight += s.kw_tight;
-        braceless |= s.braceless;
-        binary_spaced |= s.binary_spaced;
-        assign_spaced |= s.assign_spaced;
-        template_spaced |= s.template_spaced;
-        blank_after_brace |= s.blank_after_brace;
-        blank_after_semi |= s.blank_after_semi;
-        blank_after_angle |= s.blank_after_angle;
-    }
-    let indent = if tab_lines > indent_lines {
-        Indent::Tab
-    } else {
-        match min_indent.unwrap_or(4) {
-            0..=2 => Indent::Spaces(2),
-            3 => Indent::Spaces(3),
-            _ => Indent::Spaces(4),
-        }
-    };
-    let brace = if own_line > tail_brace {
-        BraceStyle::NextLine
-    } else {
-        BraceStyle::SameLine
-    };
-    RenderStyle {
-        indent,
-        brace,
-        space_around_binary: binary_spaced,
-        space_around_assign: assign_spaced,
-        space_after_comma: commas == 0 || spaced_commas * 2 >= commas,
-        space_after_keyword: kw_spaced >= kw_tight,
-        space_in_template_close: template_spaced,
-        braceless_single_stmt: braceless,
-        collapse_else_if: true,
-        blank_lines_between_fns: if blank_after_brace { 1 } else { 0 },
-        blank_line_after_prologue: blank_after_semi || blank_after_angle,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Step metadata
@@ -272,14 +88,13 @@ pub struct StepFrontend {
 /// function of the inputs, never of worker scheduling.
 #[derive(Debug, Default)]
 pub struct FrontendCache {
-    /// Region text → layout-detection partial (exact: text-keyed).
-    scans: HashMap<String, StyleScan>,
     /// `(item hash, style)` → rendered region text (trusted hash,
     /// debug-verified).
     rendered: HashMap<(u64, RenderStyle), Arc<str>>,
     /// Item hash → per-item feature partials (trusted hash).
     item_feats: HashMap<u64, Arc<ItemFeatures>>,
-    /// Region text → per-region layout feature scan (exact).
+    /// Region text → layout scan, for the layout features and the
+    /// layout detection alike (exact: text-keyed).
     layouts: HashMap<String, Arc<RegionLayout>>,
     /// Unit hash → analyzer diagnostics (trusted hash).
     diags: HashMap<u64, Arc<Vec<Diagnostic>>>,
@@ -303,18 +118,6 @@ impl FrontendCache {
     /// Node-level lookups that computed and stored a new product.
     pub fn node_misses(&self) -> u64 {
         self.node_misses
-    }
-
-    /// The layout-detection partial for one region text.
-    fn scan_for(&mut self, region: &str) -> &StyleScan {
-        if self.scans.contains_key(region) {
-            self.node_hits += 1;
-        } else {
-            self.node_misses += 1;
-            self.scans
-                .insert(region.to_string(), StyleScan::scan(region));
-        }
-        &self.scans[region]
     }
 
     /// The rendered text of `item` under `style`, keyed by structural
@@ -396,17 +199,19 @@ pub fn detect_with_regions(
     source: &str,
     regions: &RegionInfo,
 ) -> RenderStyle {
-    for span in &regions.spans {
-        fc.scan_for(&source[span.start..span.end]);
-    }
-    let pairs: Vec<(usize, &StyleScan)> = regions
+    let scans: Vec<(usize, Arc<RegionLayout>)> = regions
         .spans
         .iter()
-        .map(|span| (span.sep_before, &fc.scans[&source[span.start..span.end]]))
+        .map(|span| {
+            (
+                span.sep_before,
+                fc.layout_for(&source[span.start..span.end]),
+            )
+        })
         .collect();
-    let style = detect_from_scans(&pairs);
-    debug_assert_eq!(style, detect_render_style(source));
-    style
+    let layout = RegionLayout::assemble(scans.iter().map(|(sep, l)| (*sep, l.as_ref())));
+    debug_assert_eq!(layout, RegionLayout::scan(source));
+    layout.render_style()
 }
 
 // ---------------------------------------------------------------------------
@@ -648,58 +453,12 @@ mod tests {
     use synthattr_gen::challenges::ChallengeId;
     use synthattr_gen::corpus::{solution_in_style, Origin};
     use synthattr_gen::style::AuthorStyle;
-    use synthattr_lang::render::render_with_regions;
+    use synthattr_lang::render::Indent;
 
     fn seed_code(seed: u64) -> String {
         let mut rng = Pcg64::new(seed);
         let style = AuthorStyle::sample(&mut rng);
         solution_in_style(ChallengeId::SumSeries, &style, seed, &["incr-seed"])
-    }
-
-    #[test]
-    fn scan_merge_reconstructs_whole_text_detection() {
-        for seed in [1u64, 2, 3, 9] {
-            let src = seed_code(seed);
-            let unit = parse(&src).unwrap();
-            // Detect over many rendered layouts, merged from regions.
-            for style in [
-                RenderStyle::default(),
-                RenderStyle {
-                    indent: Indent::Tab,
-                    brace: BraceStyle::NextLine,
-                    blank_lines_between_fns: 0,
-                    space_after_comma: false,
-                    space_after_keyword: false,
-                    blank_line_after_prologue: false,
-                    ..RenderStyle::default()
-                },
-                RenderStyle {
-                    indent: Indent::Spaces(2),
-                    braceless_single_stmt: true,
-                    space_around_binary: false,
-                    space_around_assign: false,
-                    blank_lines_between_fns: 2,
-                    ..RenderStyle::default()
-                },
-            ] {
-                let (text, spans) = render_with_regions(&unit, &style);
-                let scans: Vec<StyleScan> = spans
-                    .iter()
-                    .map(|s| StyleScan::scan(&text[s.start..s.end]))
-                    .collect();
-                let pairs: Vec<(usize, &StyleScan)> = spans
-                    .iter()
-                    .zip(&scans)
-                    .map(|(s, scan)| (s.sep_before, scan))
-                    .collect();
-                assert_eq!(detect_from_scans(&pairs), detect_render_style(&text));
-            }
-        }
-    }
-
-    #[test]
-    fn detect_from_no_regions_matches_empty_text() {
-        assert_eq!(detect_from_scans(&[]), detect_render_style(""));
     }
 
     #[test]

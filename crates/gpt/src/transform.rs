@@ -12,9 +12,9 @@
 //! observes on human-seeded transformations.
 
 use crate::error::GptError;
-use crate::incr::{detect_from_scans, StyleScan};
 use crate::pool::YearPool;
 use std::collections::HashMap;
+use synthattr_features::layout::RegionLayout;
 use synthattr_gen::naming::{apply_case, NamingStyle, Verbosity};
 use synthattr_gen::style::AuthorStyle;
 use synthattr_lang::ast::*;
@@ -205,10 +205,11 @@ pub(crate) fn debug_assert_semantics_preserved(source: &str, out: &str) -> Resul
 /// Heuristically recovers the layout style of raw source text (used to
 /// let source layout traits survive low-fidelity transformations).
 ///
-/// The whole text is one region with no separator: this is
-/// [`detect_from_scans`] over one [`StyleScan`].
+/// The whole text is one region: this is
+/// [`RegionLayout::render_style`] of one [`RegionLayout::scan`], the
+/// scan the layout features read.
 pub fn detect_render_style(src: &str) -> RenderStyle {
-    detect_from_scans(&[(0, &StyleScan::scan(src))])
+    RegionLayout::scan(src).render_style()
 }
 
 fn blend_render_styles(

@@ -27,7 +27,9 @@
 #                                     #   targets + cargo fmt --check
 #                                     #   + rustdoc with -D warnings
 #                                     #   + the serve crate's tests
-#                                     #   in a release build
+#                                     #   in a release build + the
+#                                     #   layout scan fuzz at 200,000
+#                                     #   cases in a release build
 #   SYNTHATTR_WORKERS=1 scripts/verify.sh   # serial, for timing noise
 #
 # Each flag adds a check that plain tier-1 does not run; every test
@@ -65,7 +67,9 @@
 # build: that crate holds the workspace's one `unsafe` block (the
 # poll(2) call in its readiness module), and a release build tests it
 # as it ships, without the debug assertions and overflow checks of the
-# test profile.
+# test profile. Last, it runs the layout scan's fuzz property (the
+# single-pass scan against the multi-pass reference, DESIGN.md §12.2)
+# in release at 200,000 cases instead of the tier-1 4,096.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -141,6 +145,9 @@ if [[ "$STRICT" == "1" ]]; then
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
   echo "== strict: cargo test --release -p synthattr-serve ==" >&2
   cargo test --release --offline -p synthattr-serve
+  echo "== strict: layout scan fuzz, 200000 cases (release) ==" >&2
+  SYNTHATTR_PROP_CASES=200000 cargo test --release --offline -p synthattr-features --lib \
+    scan_matches_the_multi_pass_reference
 fi
 
 echo "verify: OK" >&2
