@@ -27,10 +27,16 @@
 //! The result is hashed with the AST's structural hash. Two programs
 //! with equal fingerprints are therefore identical modulo naming,
 //! layout, loop form, sugar, IO idiom and helper outlining.
+//!
+//! Every step walks the tree through the shared walkers of
+//! [`synthattr_lang::visit`]; this module lists no node's children.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use synthattr_lang::ast::*;
-use synthattr_lang::visit::{declared_names, for_each_block_mut, rename_idents};
+use synthattr_lang::visit::{
+    declared_names, for_each_block_mut, for_each_decl_site, for_each_expr_in, for_each_expr_mut,
+    for_each_stmt, for_each_subexpr_mut, rename_idents, DeclSite,
+};
 use synthattr_lang::{parse, ParseError};
 
 /// The normalized-AST hash of `unit`.
@@ -123,7 +129,7 @@ fn scrub_exprs(u: &mut TranslationUnit) {
 
 fn count_returns(b: &Block) -> usize {
     let mut n = 0;
-    each_stmt(b, &mut |s| {
+    for_each_stmt(b, &mut |s| {
         if matches!(s, Stmt::Return(_)) {
             n += 1;
         }
@@ -133,14 +139,12 @@ fn count_returns(b: &Block) -> usize {
 
 fn count_calls_in_block(b: &Block, name: &str) -> usize {
     let mut n = 0;
-    each_stmt(b, &mut |s| {
-        stmt_exprs(s, &mut |e| {
-            if let Expr::Call { callee, .. } = e {
-                if matches!(callee.unparenthesized(), Expr::Ident(f) if f == name) {
-                    n += 1;
-                }
+    for_each_expr_in(b, &mut |e| {
+        if let Expr::Call { callee, .. } = e {
+            if matches!(callee.unparenthesized(), Expr::Ident(f) if f == name) {
+                n += 1;
             }
-        });
+        }
     });
     n
 }
@@ -192,23 +196,34 @@ fn find_inline_candidate(u: &TranslationUnit) -> Option<(String, Block)> {
 }
 
 /// Finds the unique statement containing `name()`, splices `work`
-/// before it, and replaces the call with `value`.
+/// before it, and replaces the call with `value`. The helper's own
+/// body holds no call to `name` (see [`find_inline_candidate`]), so
+/// every function body is searched.
 fn splice_call_site(u: &mut TranslationUnit, name: &str, work: Vec<Stmt>, value: Expr) -> bool {
     let mut done = false;
-    for item in &mut u.items {
-        let Item::Function(f) = item else { continue };
-        if f.name == name || done {
-            continue;
+    for_each_block_mut(u, &mut |b| {
+        if done {
+            return;
         }
-        done = splice_in_block(&mut f.body, name, &work, &value);
-    }
+        let Some(i) = b
+            .stmts
+            .iter_mut()
+            .position(|s| replace_call(s, name, &value))
+        else {
+            return;
+        };
+        b.stmts.splice(i..i, work.iter().cloned());
+        done = true;
+    });
     done
 }
 
-fn splice_in_block(b: &mut Block, name: &str, work: &[Stmt], value: &Expr) -> bool {
-    for i in 0..b.stmts.len() {
-        let mut replaced = false;
-        stmt_exprs_mut(&mut b.stmts[i], &mut |e| {
+/// Replaces the first zero-argument call to `name` among `stmt`'s own
+/// expressions with `value`; returns whether it found one.
+fn replace_call(stmt: &mut Stmt, name: &str, value: &Expr) -> bool {
+    let mut replaced = false;
+    stmt.for_each_expr_mut(&mut |root| {
+        for_each_subexpr_mut(root, &mut |e| {
             if replaced {
                 return;
             }
@@ -220,35 +235,9 @@ fn splice_in_block(b: &mut Block, name: &str, work: &[Stmt], value: &Expr) -> bo
                     replaced = true;
                 }
             }
-        });
-        if replaced {
-            b.stmts.splice(i..i, work.iter().cloned());
-            return true;
-        }
-        // Recurse into nested blocks of this statement.
-        let found = match &mut b.stmts[i] {
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                splice_in_block(then_branch, name, work, value)
-                    || else_branch
-                        .as_mut()
-                        .is_some_and(|e| splice_in_block(e, name, work, value))
-            }
-            Stmt::For { body, .. }
-            | Stmt::ForEach { body, .. }
-            | Stmt::While { body, .. }
-            | Stmt::DoWhile { body, .. } => splice_in_block(body, name, work, value),
-            Stmt::Block(inner) => splice_in_block(inner, name, work, value),
-            _ => false,
-        };
-        if found {
-            return true;
-        }
-    }
-    false
+        })
+    });
+    replaced
 }
 
 // ---------------------------------------------------------------------------
@@ -476,21 +465,14 @@ fn merge_cout_strings(e: &mut Expr) {
 // ---------------------------------------------------------------------------
 
 fn normalize_stmts(u: &mut TranslationUnit) {
-    for item in &mut u.items {
-        if let Item::Function(f) = item {
-            norm_stmt_list(&mut f.body.stmts);
-        }
-    }
-}
-
-fn norm_stmt_list(stmts: &mut [Stmt]) {
-    for stmt in stmts.iter_mut() {
-        norm_stmt(stmt);
-    }
+    // The walk rewrites a block's statements before it descends into
+    // the child blocks they leave in place, so the bodies (and hoisted
+    // inits) of lowered loops are normalized too.
+    for_each_block_mut(u, &mut |b| b.stmts.iter_mut().for_each(norm_stmt));
 }
 
 fn norm_stmt(stmt: &mut Stmt) {
-    // Rewrite this node to a fixed point before recursing.
+    // Rewrite this node to a fixed point.
     loop {
         match stmt {
             // Conditioned `for` -> canonical `while` form. The init is
@@ -540,25 +522,6 @@ fn norm_stmt(stmt: &mut Stmt) {
     // Canonicalize the step of any remaining (condition-less) `for`.
     if let Stmt::For { step: Some(s), .. } = stmt {
         norm_value_dropped_expr(s);
-    }
-    // Recurse into child blocks.
-    match stmt {
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            norm_stmt_list(&mut then_branch.stmts);
-            if let Some(e) = else_branch {
-                norm_stmt_list(&mut e.stmts);
-            }
-        }
-        Stmt::For { body, .. }
-        | Stmt::ForEach { body, .. }
-        | Stmt::While { body, .. }
-        | Stmt::DoWhile { body, .. } => norm_stmt_list(&mut body.stmts),
-        Stmt::Block(b) => norm_stmt_list(&mut b.stmts),
-        _ => {}
     }
 }
 
@@ -667,317 +630,26 @@ fn distribute_ternary(e: &Expr) -> Option<Stmt> {
 // ---------------------------------------------------------------------------
 
 /// Renames every user-declared name to `__v{N}` where `N` is the order
-/// of the name's first declaration site in a pre-order walk. Because
-/// the transformer renames via a single name-level bijection, two
-/// α-equivalent programs collect the same name *positions* and land on
-/// identical canonical trees. (`main`, typedef/alias names and library
-/// names are left untouched — the transformer never renames them.)
+/// of the name's first declaration site in pre-order
+/// ([`for_each_decl_site`]). Because the transformer renames via a
+/// single name-level bijection, two α-equivalent programs collect the
+/// same name *positions* and land on identical canonical trees.
+/// (`main`, typedef/alias names and library names are left untouched —
+/// the transformer never renames them.)
 fn canonicalize_names(u: &mut TranslationUnit) {
-    let mut order: Vec<String> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut note = |name: &str| {
-        if seen.insert(name.to_string()) {
-            order.push(name.to_string());
+    let mut mapping: HashMap<String, String> = HashMap::new();
+    for_each_decl_site(u, &mut |site| {
+        if matches!(site, DeclSite::Alias(_))
+            || matches!(site, DeclSite::Function(f) if f.name == "main")
+        {
+            return;
         }
-    };
-    for item in &u.items {
-        match item {
-            Item::GlobalVar(d) => {
-                for dd in &d.declarators {
-                    note(&dd.name);
-                }
-            }
-            Item::Function(f) => {
-                if f.name != "main" {
-                    note(&f.name);
-                }
-                for p in &f.params {
-                    note(&p.name);
-                }
-                collect_decl_order(&f.body, &mut note);
-            }
-            _ => {}
-        }
-    }
-    let mapping: std::collections::HashMap<String, String> = order
-        .into_iter()
-        .enumerate()
-        .map(|(i, name)| (name, format!("__v{i}")))
-        .collect();
+        let next = mapping.len();
+        mapping
+            .entry(site.name().to_string())
+            .or_insert_with(|| format!("__v{next}"));
+    });
     rename_idents(u, &mapping);
-}
-
-fn collect_decl_order(b: &Block, note: &mut impl FnMut(&str)) {
-    for stmt in &b.stmts {
-        collect_stmt_decl_order(stmt, note);
-    }
-}
-
-fn collect_stmt_decl_order(stmt: &Stmt, note: &mut impl FnMut(&str)) {
-    match stmt {
-        Stmt::Decl(d) => {
-            for dd in &d.declarators {
-                note(&dd.name);
-            }
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_decl_order(then_branch, note);
-            if let Some(e) = else_branch {
-                collect_decl_order(e, note);
-            }
-        }
-        Stmt::For { init, body, .. } => {
-            if let Some(i) = init {
-                collect_stmt_decl_order(i, note);
-            }
-            collect_decl_order(body, note);
-        }
-        Stmt::ForEach { name, body, .. } => {
-            note(name);
-            collect_decl_order(body, note);
-        }
-        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => collect_decl_order(body, note),
-        Stmt::Block(b) => collect_decl_order(b, note),
-        _ => {}
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Local walkers
-// ---------------------------------------------------------------------------
-
-fn each_stmt(b: &Block, f: &mut impl FnMut(&Stmt)) {
-    for stmt in &b.stmts {
-        f(stmt);
-        match stmt {
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                each_stmt(then_branch, f);
-                if let Some(e) = else_branch {
-                    each_stmt(e, f);
-                }
-            }
-            Stmt::For { init, body, .. } => {
-                if let Some(i) = init {
-                    f(i);
-                }
-                each_stmt(body, f);
-            }
-            Stmt::ForEach { body, .. } | Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => {
-                each_stmt(body, f)
-            }
-            Stmt::Block(inner) => each_stmt(inner, f),
-            _ => {}
-        }
-    }
-}
-
-/// Applies `f` to every expression in the statement, pre-order.
-fn stmt_exprs(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
-    match stmt {
-        Stmt::Decl(d) => {
-            for dd in &d.declarators {
-                if let Some(a) = &dd.array {
-                    each_expr(a, f);
-                }
-                match &dd.init {
-                    Some(Initializer::Assign(e)) => each_expr(e, f),
-                    Some(Initializer::Ctor(args)) => {
-                        for a in args {
-                            each_expr(a, f);
-                        }
-                    }
-                    None => {}
-                }
-            }
-        }
-        Stmt::Expr(e) | Stmt::Return(Some(e)) => each_expr(e, f),
-        Stmt::If { cond, .. } | Stmt::While { cond, .. } | Stmt::DoWhile { cond, .. } => {
-            each_expr(cond, f)
-        }
-        Stmt::For {
-            init, cond, step, ..
-        } => {
-            if let Some(i) = init {
-                stmt_exprs(i, f);
-            }
-            if let Some(c) = cond {
-                each_expr(c, f);
-            }
-            if let Some(s) = step {
-                each_expr(s, f);
-            }
-        }
-        Stmt::ForEach { iterable, .. } => each_expr(iterable, f),
-        _ => {}
-    }
-}
-
-fn each_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Unary { expr, .. }
-        | Expr::Cast { expr, .. }
-        | Expr::StaticCast { expr, .. }
-        | Expr::Paren(expr) => each_expr(expr, f),
-        Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-            each_expr(lhs, f);
-            each_expr(rhs, f);
-        }
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            each_expr(cond, f);
-            each_expr(then_expr, f);
-            each_expr(else_expr, f);
-        }
-        Expr::Call { callee, args } => {
-            each_expr(callee, f);
-            for a in args {
-                each_expr(a, f);
-            }
-        }
-        Expr::Member { base, .. } => each_expr(base, f),
-        Expr::Index { base, index } => {
-            each_expr(base, f);
-            each_expr(index, f);
-        }
-        Expr::InitList(elems) => {
-            for x in elems {
-                each_expr(x, f);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Mutable pre-order expression walker over the whole unit. The
-/// callback runs before descent, so a callback that rewrites the node
-/// in place (looping internally, as [`scrub_exprs`] does) still has its
-/// children visited afterwards.
-fn for_each_expr_mut(u: &mut TranslationUnit, f: &mut impl FnMut(&mut Expr)) {
-    for item in &mut u.items {
-        match item {
-            Item::GlobalVar(d) => decl_exprs_mut(d, f),
-            Item::Function(func) => block_exprs_mut(&mut func.body, f),
-            _ => {}
-        }
-    }
-}
-
-fn decl_exprs_mut(d: &mut Declaration, f: &mut impl FnMut(&mut Expr)) {
-    for dd in &mut d.declarators {
-        if let Some(a) = &mut dd.array {
-            expr_mut(a, f);
-        }
-        match &mut dd.init {
-            Some(Initializer::Assign(e)) => expr_mut(e, f),
-            Some(Initializer::Ctor(args)) => {
-                for a in args {
-                    expr_mut(a, f);
-                }
-            }
-            None => {}
-        }
-    }
-}
-
-fn block_exprs_mut(b: &mut Block, f: &mut impl FnMut(&mut Expr)) {
-    for stmt in &mut b.stmts {
-        stmt_exprs_mut(stmt, f);
-        match stmt {
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                block_exprs_mut(then_branch, f);
-                if let Some(e) = else_branch {
-                    block_exprs_mut(e, f);
-                }
-            }
-            Stmt::For { body, .. }
-            | Stmt::ForEach { body, .. }
-            | Stmt::While { body, .. }
-            | Stmt::DoWhile { body, .. } => block_exprs_mut(body, f),
-            Stmt::Block(inner) => block_exprs_mut(inner, f),
-            _ => {}
-        }
-    }
-}
-
-fn stmt_exprs_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
-    match stmt {
-        Stmt::Decl(d) => decl_exprs_mut(d, f),
-        Stmt::Expr(e) | Stmt::Return(Some(e)) => expr_mut(e, f),
-        Stmt::If { cond, .. } | Stmt::While { cond, .. } | Stmt::DoWhile { cond, .. } => {
-            expr_mut(cond, f)
-        }
-        Stmt::For {
-            init, cond, step, ..
-        } => {
-            if let Some(i) = init {
-                stmt_exprs_mut(i, f);
-            }
-            if let Some(c) = cond {
-                expr_mut(c, f);
-            }
-            if let Some(s) = step {
-                expr_mut(s, f);
-            }
-        }
-        Stmt::ForEach { iterable, .. } => expr_mut(iterable, f),
-        _ => {}
-    }
-}
-
-fn expr_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match e {
-        Expr::Unary { expr, .. }
-        | Expr::Cast { expr, .. }
-        | Expr::StaticCast { expr, .. }
-        | Expr::Paren(expr) => expr_mut(expr, f),
-        Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-            expr_mut(lhs, f);
-            expr_mut(rhs, f);
-        }
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            expr_mut(cond, f);
-            expr_mut(then_expr, f);
-            expr_mut(else_expr, f);
-        }
-        Expr::Call { callee, args } => {
-            expr_mut(callee, f);
-            for a in args {
-                expr_mut(a, f);
-            }
-        }
-        Expr::Member { base, .. } => expr_mut(base, f),
-        Expr::Index { base, index } => {
-            expr_mut(base, f);
-            expr_mut(index, f);
-        }
-        Expr::InitList(elems) => {
-            for x in elems {
-                expr_mut(x, f);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]

@@ -124,22 +124,6 @@ impl Analyzer {
         }
     }
 
-    /// An analyzer with no passes; use [`Analyzer::register`].
-    pub fn empty() -> Self {
-        Analyzer { passes: Vec::new() }
-    }
-
-    /// Adds a pass to the registry.
-    pub fn register(&mut self, pass: Box<dyn Pass + Send + Sync>) -> &mut Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Names of the registered passes, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
     /// Name and severity of the registered passes, in run order.
     pub fn pass_summaries(&self) -> Vec<(&'static str, Severity)> {
         self.passes

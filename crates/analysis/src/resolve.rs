@@ -92,17 +92,6 @@ pub struct Resolution {
     pub std_in_scope: bool,
 }
 
-impl Resolution {
-    /// Names of all bindings of the given kinds, in visit order.
-    pub fn names_of(&self, pred: impl Fn(BindingKind) -> bool) -> Vec<&str> {
-        self.bindings
-            .iter()
-            .filter(|b| pred(b.kind))
-            .map(|b| b.name.as_str())
-            .collect()
-    }
-}
-
 /// Standard-library names treated as declared when the unit includes
 /// headers or opens `namespace std`. The set mirrors (and extends) the
 /// transformer's reserved-name list so that nothing the generator or

@@ -28,7 +28,6 @@ use synthattr_faults::{FaultyTransformer, Outcome, ResilienceStats};
 use synthattr_features::FeatureExtractor;
 use synthattr_gen::challenges::ChallengeId;
 use synthattr_gen::corpus::{generate_year, Origin, YearCorpus, YearSpec};
-use synthattr_gen::style::AuthorStyle;
 use synthattr_gpt::chain::TransformedSample;
 use synthattr_gpt::incr::{try_run_ct_steps_cached, try_run_nct_steps_cached, FrontendCache};
 use synthattr_gpt::pool::YearPool;
@@ -534,11 +533,6 @@ impl YearPipeline {
             groups.push(sample.challenge);
         }
         (ds, groups)
-    }
-
-    /// The style of the human seed author (useful for diagnostics).
-    pub fn seed_author_style(&self) -> AuthorStyle {
-        AuthorStyle::for_author(self.config.seed, self.year, self.seed_author)
     }
 }
 

@@ -10,6 +10,11 @@
 //! `fidelity`: at fidelity 1 the output is fully in-pool; below 1,
 //! source traits leak through, producing the hybrid styles the paper
 //! observes on human-seeded transformations.
+//!
+//! The rewrites walk the tree through [`synthattr_lang::visit`]:
+//! every expression, every block, and the declaration sites that feed
+//! the type environment. Only `has_direct_continue` recurses on its
+//! own, because it stops at nested loops.
 
 use crate::error::GptError;
 use crate::pool::YearPool;
@@ -21,7 +26,8 @@ use synthattr_lang::ast::*;
 use synthattr_lang::parse;
 use synthattr_lang::render::{render, RenderStyle};
 use synthattr_lang::visit::{
-    declared_names, for_each_block_mut, rename_idents, unrenameable_names,
+    declared_names, for_each_block_mut, for_each_decl_site, for_each_expr_mut, rename_idents,
+    unrenameable_names, DeclSite,
 };
 use synthattr_util::Pcg64;
 
@@ -267,19 +273,20 @@ impl TypeEnv {
     fn of(unit: &TranslationUnit) -> Self {
         let mut vars = HashMap::new();
         let mut fns = HashMap::new();
-        for item in &unit.items {
-            match item {
-                Item::GlobalVar(d) => note_decl(d, &mut vars),
-                Item::Function(f) => {
-                    fns.insert(f.name.clone(), f.ret.clone());
-                    for p in &f.params {
-                        vars.insert(p.name.clone(), p.ty.clone());
-                    }
-                    note_block(&f.body, &mut vars);
-                }
-                _ => {}
+        // A parameter's type replaces any earlier one for its name; a
+        // variable keeps the first type seen for its name.
+        for_each_decl_site(unit, &mut |site| match site {
+            DeclSite::Function(f) => {
+                fns.insert(f.name.clone(), f.ret.clone());
             }
-        }
+            DeclSite::Param(p) => {
+                vars.insert(p.name.clone(), p.ty.clone());
+            }
+            DeclSite::Var(name, ty) => {
+                vars.entry(name.to_string()).or_insert_with(|| ty.clone());
+            }
+            DeclSite::Alias(_) => {}
+        });
         TypeEnv { vars, fns }
     }
 
@@ -356,47 +363,6 @@ fn promote(a: Option<Ty>, b: Option<Ty>) -> Option<Ty> {
         (Ty::Double, _) | (_, Ty::Double) => Some(Ty::Double),
         (Ty::Long, _) | (_, Ty::Long) => Some(Ty::Long),
         _ => Some(Ty::Int),
-    }
-}
-
-fn note_decl(d: &Declaration, vars: &mut HashMap<String, Type>) {
-    for dd in &d.declarators {
-        vars.entry(dd.name.clone()).or_insert_with(|| d.ty.clone());
-    }
-}
-
-fn note_block(block: &Block, vars: &mut HashMap<String, Type>) {
-    for stmt in &block.stmts {
-        note_stmt(stmt, vars);
-    }
-}
-
-fn note_stmt(stmt: &Stmt, vars: &mut HashMap<String, Type>) {
-    match stmt {
-        Stmt::Decl(d) => note_decl(d, vars),
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            note_block(then_branch, vars);
-            if let Some(e) = else_branch {
-                note_block(e, vars);
-            }
-        }
-        Stmt::For { init, body, .. } => {
-            if let Some(i) = init {
-                note_stmt(i, vars);
-            }
-            note_block(body, vars);
-        }
-        Stmt::ForEach { ty, name, body, .. } => {
-            vars.entry(name.clone()).or_insert_with(|| ty.clone());
-            note_block(body, vars);
-        }
-        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => note_block(body, vars),
-        Stmt::Block(b) => note_block(b, vars),
-        _ => {}
     }
 }
 
@@ -1469,134 +1435,6 @@ fn replace_print_value(e: &mut Expr, replacement: Expr) -> Option<Expr> {
     let old = std::mem::replace(&mut new_ops[value_idx], replacement);
     *e = rebuild_chain("cout", BinaryOp::Shl, new_ops);
     Some(old)
-}
-
-// ---------------------------------------------------------------------------
-// Mutable expression walker (statement-level entry points)
-// ---------------------------------------------------------------------------
-
-fn for_each_expr_mut(unit: &mut TranslationUnit, f: &mut impl FnMut(&mut Expr)) {
-    for item in &mut unit.items {
-        match item {
-            Item::GlobalVar(d) => decl_exprs(d, f),
-            Item::Function(func) => block_exprs(&mut func.body, f),
-            _ => {}
-        }
-    }
-}
-
-fn decl_exprs(d: &mut Declaration, f: &mut impl FnMut(&mut Expr)) {
-    for dd in &mut d.declarators {
-        if let Some(a) = &mut dd.array {
-            expr_mut(a, f);
-        }
-        match &mut dd.init {
-            Some(Initializer::Assign(e)) => expr_mut(e, f),
-            Some(Initializer::Ctor(args)) => {
-                for a in args {
-                    expr_mut(a, f);
-                }
-            }
-            None => {}
-        }
-    }
-}
-
-fn block_exprs(b: &mut Block, f: &mut impl FnMut(&mut Expr)) {
-    for stmt in &mut b.stmts {
-        stmt_exprs(stmt, f);
-    }
-}
-
-fn stmt_exprs(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
-    match s {
-        Stmt::Decl(d) => decl_exprs(d, f),
-        Stmt::Expr(e) => expr_mut(e, f),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            expr_mut(cond, f);
-            block_exprs(then_branch, f);
-            if let Some(e) = else_branch {
-                block_exprs(e, f);
-            }
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                stmt_exprs(i, f);
-            }
-            if let Some(c) = cond {
-                expr_mut(c, f);
-            }
-            if let Some(st) = step {
-                expr_mut(st, f);
-            }
-            block_exprs(body, f);
-        }
-        Stmt::ForEach { iterable, body, .. } => {
-            expr_mut(iterable, f);
-            block_exprs(body, f);
-        }
-        Stmt::While { cond, body } => {
-            expr_mut(cond, f);
-            block_exprs(body, f);
-        }
-        Stmt::DoWhile { body, cond } => {
-            block_exprs(body, f);
-            expr_mut(cond, f);
-        }
-        Stmt::Return(Some(e)) => expr_mut(e, f),
-        Stmt::Block(b) => block_exprs(b, f),
-        _ => {}
-    }
-}
-
-fn expr_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    // Children first so rewrites see already-rewritten subtrees.
-    match e {
-        Expr::Unary { expr, .. } => expr_mut(expr, f),
-        Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-            expr_mut(lhs, f);
-            expr_mut(rhs, f);
-        }
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            expr_mut(cond, f);
-            expr_mut(then_expr, f);
-            expr_mut(else_expr, f);
-        }
-        Expr::Call { callee, args } => {
-            expr_mut(callee, f);
-            for a in args {
-                expr_mut(a, f);
-            }
-        }
-        Expr::Member { base, .. } => expr_mut(base, f),
-        Expr::Index { base, index } => {
-            expr_mut(base, f);
-            expr_mut(index, f);
-        }
-        Expr::Cast { expr, .. } | Expr::StaticCast { expr, .. } | Expr::Paren(expr) => {
-            expr_mut(expr, f)
-        }
-        Expr::InitList(elems) => {
-            for el in elems {
-                expr_mut(el, f);
-            }
-        }
-        _ => {}
-    }
-    f(e);
 }
 
 #[cfg(test)]

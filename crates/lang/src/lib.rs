@@ -19,7 +19,9 @@
 //! * [`metrics`] — syntactic measurements over the AST (depth
 //!   statistics, node-kind frequencies, node-kind bigrams) feeding the
 //!   Caliskan-Islam-style feature set;
-//! * [`visit`] — a visitor/walker used by metrics and the transformer.
+//! * [`visit`] — AST traversal: each node's children listed once, the
+//!   walkers built on them (used by the transformer and the semantic
+//!   fingerprint), and the node-kind visitor used by metrics.
 //!
 //! # Example
 //!

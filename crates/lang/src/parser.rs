@@ -45,29 +45,6 @@ pub fn parse(src: &str) -> Result<TranslationUnit, ParseError> {
     Parser::new(tokens).unit()
 }
 
-/// Parses `src` with additional names pre-registered as type names, as
-/// if `typedef`s introducing them had already been seen.
-///
-/// The parser's only cross-item state is its running type-name list
-/// (`typedef` / `using x = ...` feed type disambiguation for later
-/// items). Parsing item *k* of a unit therefore equals parsing item
-/// *k*'s text alone with the aliases of items `0..k` supplied here —
-/// which is what lets the incremental frontend re-parse only the
-/// regions whose text changed.
-///
-/// # Errors
-///
-/// Same as [`parse`].
-pub fn parse_with_type_context(
-    src: &str,
-    extra_types: &[String],
-) -> Result<TranslationUnit, ParseError> {
-    let tokens = lex(src)?;
-    let mut parser = Parser::new(tokens);
-    parser.type_names.extend(extra_types.iter().cloned());
-    parser.unit()
-}
-
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,

@@ -1,5 +1,24 @@
-//! AST traversal: read-only kind walking (for metrics) and mutation
-//! helpers (for the transformation engine).
+//! AST traversal.
+//!
+//! Each node's children are listed once, here, and each list serves a
+//! shared and a mutable form:
+//!
+//! * [`Expr::for_each_child`]: an expression's direct sub-expressions;
+//! * [`Stmt::for_each_expr`]: the expressions a statement holds outside
+//!   its child blocks (a `for`'s init included), and
+//!   [`Stmt::for_each_block`]: its child blocks;
+//! * [`Declaration::for_each_expr`]: array extents and initializers.
+//!
+//! The walkers are built on those lists: expressions in pre-order
+//! ([`for_each_subexpr`], [`for_each_expr_in`], [`for_each_expr_mut`]),
+//! statements in pre-order ([`for_each_stmt`]), every block
+//! ([`for_each_block_mut`]) and declaration sites in pre-order
+//! ([`for_each_decl_site`]). The renamer here, the simulator's
+//! rewrites and type environment (`synthattr-gpt`) and the semantic
+//! fingerprint (`synthattr-analysis`) walk the tree through them.
+//!
+//! The [`Visitor`] kind walk is separate: its stream of node kinds and
+//! depths is what the syntactic features read.
 
 use crate::ast::*;
 use std::collections::HashMap;
@@ -251,7 +270,339 @@ fn walk_expr<V: Visitor>(expr: &Expr, v: &mut V, depth: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Mutation helpers
+// Children lists
+// ---------------------------------------------------------------------------
+
+// Each list is one match, expanded twice: over `&Node` for the shared
+// form and over `&mut Node` for the mutable one. Match ergonomics give
+// the bindings the reference's mutability, so one set of arms serves
+// both. The matches are exhaustive: a new variant must be listed here.
+
+/// `$f` on each direct sub-expression of `$expr`, in source order.
+macro_rules! expr_children {
+    ($expr:expr, $f:ident) => {
+        match $expr {
+            Expr::Unary { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::StaticCast { expr, .. }
+            | Expr::Paren(expr) => $f(expr),
+            Expr::Member { base, .. } => $f(base),
+            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
+                $f(lhs);
+                $f(rhs);
+            }
+            Expr::Index { base, index } => {
+                $f(base);
+                $f(index);
+            }
+            Expr::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => {
+                $f(cond);
+                $f(then_expr);
+                $f(else_expr);
+            }
+            Expr::Call { callee, args } => {
+                $f(callee);
+                for a in args {
+                    $f(a);
+                }
+            }
+            Expr::InitList(elems) => {
+                for e in elems {
+                    $f(e);
+                }
+            }
+            Expr::Int(_)
+            | Expr::Float(_)
+            | Expr::Str(_)
+            | Expr::Char(_)
+            | Expr::Bool(_)
+            | Expr::Ident(_) => {}
+        }
+    };
+}
+
+/// `$f` on each array extent and initializer expression of `$decl`.
+macro_rules! declaration_exprs {
+    ($decl:expr, $f:ident) => {{
+        let Declaration { declarators, .. } = $decl;
+        for Declarator { array, init, .. } in declarators {
+            if let Some(extent) = array {
+                $f(extent);
+            }
+            match init {
+                Some(Initializer::Assign(e)) => $f(e),
+                Some(Initializer::Ctor(args)) => {
+                    for a in args {
+                        $f(a);
+                    }
+                }
+                None => {}
+            }
+        }
+    }};
+}
+
+/// `$f` on each expression `$stmt` holds outside its child blocks;
+/// `$exprs` is the form's own name, for a declaration and a `for` init.
+macro_rules! stmt_exprs {
+    ($stmt:expr, $f:ident, $exprs:ident) => {
+        match $stmt {
+            Stmt::Decl(d) => d.$exprs($f),
+            Stmt::Expr(e) | Stmt::Return(Some(e)) => $f(e),
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } | Stmt::DoWhile { cond, .. } => {
+                $f(cond)
+            }
+            Stmt::ForEach { iterable, .. } => $f(iterable),
+            Stmt::For {
+                init, cond, step, ..
+            } => {
+                if let Some(init) = init {
+                    init.$exprs($f);
+                }
+                if let Some(c) = cond {
+                    $f(c);
+                }
+                if let Some(s) = step {
+                    $f(s);
+                }
+            }
+            Stmt::Return(None)
+            | Stmt::Break
+            | Stmt::Continue
+            | Stmt::Block(_)
+            | Stmt::Comment(_)
+            | Stmt::Empty => {}
+        }
+    };
+}
+
+/// `$f` on each child block of `$stmt`, in source order.
+macro_rules! stmt_blocks {
+    ($stmt:expr, $f:ident) => {
+        match $stmt {
+            Stmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                $f(then_branch);
+                if let Some(e) = else_branch {
+                    $f(e);
+                }
+            }
+            Stmt::For { body, .. }
+            | Stmt::ForEach { body, .. }
+            | Stmt::While { body, .. }
+            | Stmt::DoWhile { body, .. } => $f(body),
+            Stmt::Block(b) => $f(b),
+            Stmt::Decl(_)
+            | Stmt::Expr(_)
+            | Stmt::Return(_)
+            | Stmt::Break
+            | Stmt::Continue
+            | Stmt::Comment(_)
+            | Stmt::Empty => {}
+        }
+    };
+}
+
+impl Expr {
+    /// Calls `f` on each direct sub-expression, in source order.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        expr_children!(self, f)
+    }
+
+    /// [`Expr::for_each_child`], mutably.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        expr_children!(self, f)
+    }
+}
+
+impl Declaration {
+    /// Calls `f` on each declarator's array extent and initializer
+    /// expressions, in source order.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        declaration_exprs!(self, f)
+    }
+
+    /// [`Declaration::for_each_expr`], mutably.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        declaration_exprs!(self, f)
+    }
+}
+
+impl Stmt {
+    /// Calls `f` on each expression the statement holds outside its
+    /// child blocks, in source order. A `for`'s init statement counts
+    /// as part of the `for`: its expressions come first.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        stmt_exprs!(self, f, for_each_expr)
+    }
+
+    /// [`Stmt::for_each_expr`], mutably.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        stmt_exprs!(self, f, for_each_expr_mut)
+    }
+
+    /// Calls `f` on each child block, in source order.
+    pub fn for_each_block<'a>(&'a self, f: &mut impl FnMut(&'a Block)) {
+        stmt_blocks!(self, f)
+    }
+
+    /// [`Stmt::for_each_block`], mutably.
+    pub fn for_each_block_mut(&mut self, f: &mut impl FnMut(&mut Block)) {
+        stmt_blocks!(self, f)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Walkers
+// ---------------------------------------------------------------------------
+
+/// Calls `f` on `expr` and every expression under it, in pre-order: a
+/// node before its children.
+pub fn for_each_subexpr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+    f(expr);
+    expr.for_each_child(&mut |child| for_each_subexpr(child, f));
+}
+
+/// [`for_each_subexpr`], mutably. `f` runs before the walk descends,
+/// so the children walked are those of the node `f` leaves in place.
+pub fn for_each_subexpr_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
+    f(expr);
+    expr.for_each_child_mut(&mut |child| for_each_subexpr_mut(child, f));
+}
+
+/// Calls `f` on every expression in `block`, in pre-order: each
+/// statement's own expressions before those of its child blocks.
+pub fn for_each_expr_in<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
+    for stmt in &block.stmts {
+        stmt.for_each_expr(&mut |e| for_each_subexpr(e, f));
+        stmt.for_each_block(&mut |b| for_each_expr_in(b, f));
+    }
+}
+
+/// [`for_each_expr_in`], mutably (see [`for_each_subexpr_mut`]).
+fn for_each_expr_in_mut(block: &mut Block, f: &mut impl FnMut(&mut Expr)) {
+    for stmt in &mut block.stmts {
+        stmt.for_each_expr_mut(&mut |e| for_each_subexpr_mut(e, f));
+        stmt.for_each_block_mut(&mut |b| for_each_expr_in_mut(b, f));
+    }
+}
+
+/// Applies `f` to every expression in the unit, in pre-order: file-scope
+/// declarations and function bodies in item order, each body as
+/// [`for_each_expr_in`] orders it. `f` runs before the walk descends
+/// (see [`for_each_subexpr_mut`]).
+pub fn for_each_expr_mut(unit: &mut TranslationUnit, f: &mut impl FnMut(&mut Expr)) {
+    for item in &mut unit.items {
+        match item {
+            Item::GlobalVar(d) => d.for_each_expr_mut(&mut |e| for_each_subexpr_mut(e, f)),
+            Item::Function(func) => for_each_expr_in_mut(&mut func.body, f),
+            _ => {}
+        }
+    }
+}
+
+/// Calls `f` on every statement in `block`, in pre-order: a statement
+/// before its `for` init, and both before its child blocks.
+pub fn for_each_stmt<'a>(block: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
+    for stmt in &block.stmts {
+        f(stmt);
+        if let Stmt::For {
+            init: Some(init), ..
+        } = stmt
+        {
+            f(init);
+        }
+        stmt.for_each_block(&mut |b| for_each_stmt(b, f));
+    }
+}
+
+/// Applies `f` to every statement block in the unit (function bodies
+/// and all nested blocks), outermost first. Used by structural
+/// transformations that rewrite statement lists.
+pub fn for_each_block_mut(unit: &mut TranslationUnit, f: &mut impl FnMut(&mut Block)) {
+    for item in &mut unit.items {
+        if let Item::Function(func) = item {
+            blocks_mut(&mut func.body, f);
+        }
+    }
+}
+
+/// `block`, then every block nested in it, outermost first. `f` runs
+/// before the walk descends, so the blocks walked are those of the
+/// statements `f` leaves in place.
+fn blocks_mut(block: &mut Block, f: &mut impl FnMut(&mut Block)) {
+    f(block);
+    for stmt in &mut block.stmts {
+        stmt.for_each_block_mut(&mut |b| blocks_mut(b, f));
+    }
+}
+
+/// One declaration site, as [`for_each_decl_site`] reports it.
+#[derive(Debug, Clone, Copy)]
+pub enum DeclSite<'a> {
+    /// A function definition, `main` included.
+    Function(&'a Function),
+    /// A function parameter.
+    Param(&'a Param),
+    /// A variable and its declared type: a declarator at file scope,
+    /// in a block or in a `for` init, or a range-`for` variable.
+    Var(&'a str, &'a Type),
+    /// A `typedef`, `using` alias or `#define` name.
+    Alias(&'a str),
+}
+
+impl<'a> DeclSite<'a> {
+    /// The declared name.
+    pub fn name(self) -> &'a str {
+        match self {
+            DeclSite::Function(f) => &f.name,
+            DeclSite::Param(p) => &p.name,
+            DeclSite::Var(name, _) | DeclSite::Alias(name) => name,
+        }
+    }
+}
+
+/// Calls `f` on every declaration site in the unit, in pre-order:
+/// items in order, a function before its parameters, and both before
+/// the declarations of its body in [`for_each_stmt`] order.
+pub fn for_each_decl_site<'a>(unit: &'a TranslationUnit, f: &mut impl FnMut(DeclSite<'a>)) {
+    fn declarators<'a>(d: &'a Declaration, f: &mut impl FnMut(DeclSite<'a>)) {
+        for dd in &d.declarators {
+            f(DeclSite::Var(&dd.name, &d.ty));
+        }
+    }
+    for item in &unit.items {
+        match item {
+            Item::GlobalVar(d) => declarators(d, f),
+            Item::Function(func) => {
+                f(DeclSite::Function(func));
+                for p in &func.params {
+                    f(DeclSite::Param(p));
+                }
+                for_each_stmt(&func.body, &mut |stmt| match stmt {
+                    Stmt::Decl(d) => declarators(d, f),
+                    Stmt::ForEach { ty, name, .. } => f(DeclSite::Var(name, ty)),
+                    _ => {}
+                });
+            }
+            _ => {
+                if let Some(name) = alias_name(item) {
+                    f(DeclSite::Alias(name));
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Names
 // ---------------------------------------------------------------------------
 
 /// Extracts the defined name from a `#define` directive body (the text
@@ -266,6 +617,15 @@ pub fn define_name(text: &str) -> Option<&str> {
     Some(name.split('(').next().unwrap_or(name))
 }
 
+/// The name a `typedef`, `using` alias or `#define` item declares.
+fn alias_name(item: &Item) -> Option<&str> {
+    match item {
+        Item::Typedef { name, .. } | Item::UsingAlias { name, .. } => Some(name),
+        Item::Define { text } => define_name(text),
+        _ => None,
+    }
+}
+
 /// Collects every *user-declared* name in the unit: function names,
 /// parameters, local and global variables, range-for variables,
 /// `typedef`/`using` alias names, and `#define` macro names.
@@ -278,29 +638,11 @@ pub fn define_name(text: &str) -> Option<&str> {
 /// names are declaration-only from its point of view).
 pub fn declared_names(unit: &TranslationUnit) -> Vec<String> {
     let mut names = Vec::new();
-    for item in &unit.items {
-        match item {
-            Item::GlobalVar(d) => {
-                names.extend(d.declarators.iter().map(|x| x.name.clone()));
-            }
-            Item::Function(f) => {
-                if f.name != "main" {
-                    names.push(f.name.clone());
-                }
-                names.extend(f.params.iter().map(|p| p.name.clone()));
-                collect_block_names(&f.body, &mut names);
-            }
-            Item::Typedef { name, .. } | Item::UsingAlias { name, .. } => {
-                names.push(name.clone());
-            }
-            Item::Define { text } => {
-                if let Some(name) = define_name(text) {
-                    names.push(name.to_string());
-                }
-            }
-            _ => {}
+    for_each_decl_site(unit, &mut |site| {
+        if !matches!(site, DeclSite::Function(f) if f.name == "main") {
+            names.push(site.name().to_string());
         }
-    }
+    });
     names.sort();
     names.dedup();
     names
@@ -314,235 +656,64 @@ pub fn unrenameable_names(unit: &TranslationUnit) -> Vec<String> {
     let mut names: Vec<String> = unit
         .items
         .iter()
-        .filter_map(|item| match item {
-            Item::Typedef { name, .. } | Item::UsingAlias { name, .. } => Some(name.clone()),
-            Item::Define { text } => define_name(text).map(str::to_string),
-            _ => None,
-        })
+        .filter_map(alias_name)
+        .map(str::to_string)
         .collect();
     names.sort();
     names.dedup();
     names
 }
 
-fn collect_block_names(block: &Block, names: &mut Vec<String>) {
-    for stmt in &block.stmts {
-        collect_stmt_names(stmt, names);
-    }
-}
-
-fn collect_stmt_names(stmt: &Stmt, names: &mut Vec<String>) {
-    match stmt {
-        Stmt::Decl(d) => names.extend(d.declarators.iter().map(|x| x.name.clone())),
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_block_names(then_branch, names);
-            if let Some(e) = else_branch {
-                collect_block_names(e, names);
-            }
-        }
-        Stmt::For { init, body, .. } => {
-            if let Some(i) = init {
-                collect_stmt_names(i, names);
-            }
-            collect_block_names(body, names);
-        }
-        Stmt::ForEach { name, body, .. } => {
-            names.push(name.clone());
-            collect_block_names(body, names);
-        }
-        Stmt::While { body, .. } => collect_block_names(body, names),
-        Stmt::DoWhile { body, .. } => collect_block_names(body, names),
-        Stmt::Block(b) => collect_block_names(b, names),
-        _ => {}
-    }
-}
-
 /// Applies `mapping` to every declaration site and identifier use in
-/// the unit. Member names, include paths, string literals, and any
-/// identifier not in the mapping are untouched.
+/// the unit, in one traversal. Member names, include paths, string
+/// literals, and any identifier not in the mapping are untouched.
 pub fn rename_idents(unit: &mut TranslationUnit, mapping: &HashMap<String, String>) {
     let rename = |name: &mut String| {
         if let Some(new) = mapping.get(name) {
             *name = new.clone();
         }
     };
+    let rename_declarators = |d: &mut Declaration| {
+        for dd in &mut d.declarators {
+            rename(&mut dd.name);
+        }
+    };
+    let mut rename_uses = |root: &mut Expr| {
+        for_each_subexpr_mut(root, &mut |e| {
+            if let Expr::Ident(name) = e {
+                rename(name);
+            }
+        })
+    };
     for item in &mut unit.items {
         match item {
-            Item::GlobalVar(d) => rename_declaration(d, mapping),
+            Item::GlobalVar(d) => {
+                rename_declarators(d);
+                d.for_each_expr_mut(&mut rename_uses);
+            }
             Item::Function(f) => {
                 rename(&mut f.name);
                 for p in &mut f.params {
                     rename(&mut p.name);
                 }
-                rename_block(&mut f.body, mapping);
+                blocks_mut(&mut f.body, &mut |block| {
+                    for stmt in &mut block.stmts {
+                        match stmt {
+                            Stmt::Decl(d) => rename_declarators(d),
+                            Stmt::For {
+                                init: Some(init), ..
+                            } => {
+                                if let Stmt::Decl(d) = init.as_mut() {
+                                    rename_declarators(d);
+                                }
+                            }
+                            Stmt::ForEach { name, .. } => rename(name),
+                            _ => {}
+                        }
+                        stmt.for_each_expr_mut(&mut rename_uses);
+                    }
+                });
             }
-            _ => {}
-        }
-    }
-}
-
-fn rename_declaration(decl: &mut Declaration, mapping: &HashMap<String, String>) {
-    for d in &mut decl.declarators {
-        if let Some(new) = mapping.get(&d.name) {
-            d.name = new.clone();
-        }
-        if let Some(extent) = &mut d.array {
-            rename_expr(extent, mapping);
-        }
-        match &mut d.init {
-            Some(Initializer::Assign(e)) => rename_expr(e, mapping),
-            Some(Initializer::Ctor(args)) => {
-                for a in args {
-                    rename_expr(a, mapping);
-                }
-            }
-            None => {}
-        }
-    }
-}
-
-fn rename_block(block: &mut Block, mapping: &HashMap<String, String>) {
-    for stmt in &mut block.stmts {
-        rename_stmt(stmt, mapping);
-    }
-}
-
-fn rename_stmt(stmt: &mut Stmt, mapping: &HashMap<String, String>) {
-    match stmt {
-        Stmt::Decl(d) => rename_declaration(d, mapping),
-        Stmt::Expr(e) => rename_expr(e, mapping),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            rename_expr(cond, mapping);
-            rename_block(then_branch, mapping);
-            if let Some(e) = else_branch {
-                rename_block(e, mapping);
-            }
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                rename_stmt(i, mapping);
-            }
-            if let Some(c) = cond {
-                rename_expr(c, mapping);
-            }
-            if let Some(s) = step {
-                rename_expr(s, mapping);
-            }
-            rename_block(body, mapping);
-        }
-        Stmt::ForEach {
-            name,
-            iterable,
-            body,
-            ..
-        } => {
-            if let Some(new) = mapping.get(name) {
-                *name = new.clone();
-            }
-            rename_expr(iterable, mapping);
-            rename_block(body, mapping);
-        }
-        Stmt::While { cond, body } => {
-            rename_expr(cond, mapping);
-            rename_block(body, mapping);
-        }
-        Stmt::DoWhile { body, cond } => {
-            rename_block(body, mapping);
-            rename_expr(cond, mapping);
-        }
-        Stmt::Return(Some(e)) => rename_expr(e, mapping),
-        Stmt::Block(b) => rename_block(b, mapping),
-        _ => {}
-    }
-}
-
-fn rename_expr(expr: &mut Expr, mapping: &HashMap<String, String>) {
-    match expr {
-        Expr::Ident(name) => {
-            if let Some(new) = mapping.get(name) {
-                *name = new.clone();
-            }
-        }
-        Expr::Unary { expr, .. } => rename_expr(expr, mapping),
-        Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-            rename_expr(lhs, mapping);
-            rename_expr(rhs, mapping);
-        }
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            rename_expr(cond, mapping);
-            rename_expr(then_expr, mapping);
-            rename_expr(else_expr, mapping);
-        }
-        Expr::Call { callee, args } => {
-            rename_expr(callee, mapping);
-            for a in args {
-                rename_expr(a, mapping);
-            }
-        }
-        Expr::Member { base, .. } => rename_expr(base, mapping),
-        Expr::Index { base, index } => {
-            rename_expr(base, mapping);
-            rename_expr(index, mapping);
-        }
-        Expr::Cast { expr, .. } | Expr::StaticCast { expr, .. } | Expr::Paren(expr) => {
-            rename_expr(expr, mapping)
-        }
-        Expr::InitList(elems) => {
-            for e in elems {
-                rename_expr(e, mapping);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Applies `f` to every statement block in the unit (function bodies
-/// and all nested blocks), outermost first. Used by structural
-/// transformations that rewrite statement lists.
-pub fn for_each_block_mut(unit: &mut TranslationUnit, f: &mut impl FnMut(&mut Block)) {
-    for item in &mut unit.items {
-        if let Item::Function(func) = item {
-            visit_block_mut(&mut func.body, f);
-        }
-    }
-}
-
-fn visit_block_mut(block: &mut Block, f: &mut impl FnMut(&mut Block)) {
-    f(block);
-    for stmt in &mut block.stmts {
-        match stmt {
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                visit_block_mut(then_branch, f);
-                if let Some(e) = else_branch {
-                    visit_block_mut(e, f);
-                }
-            }
-            Stmt::For { body, .. }
-            | Stmt::ForEach { body, .. }
-            | Stmt::While { body, .. }
-            | Stmt::DoWhile { body, .. } => visit_block_mut(body, f),
-            Stmt::Block(b) => visit_block_mut(b, f),
             _ => {}
         }
     }
@@ -552,6 +723,7 @@ fn visit_block_mut(block: &mut Block, f: &mut impl FnMut(&mut Block)) {
 mod tests {
     use super::*;
     use crate::parse;
+    use std::collections::{BTreeMap, HashSet};
 
     const SRC: &str = r#"
 #include <iostream>
@@ -600,6 +772,166 @@ int main() {
         walk_unit(&unit, &mut c);
         assert!(c.nodes > 30, "expected a real tree, got {} nodes", c.nodes);
         assert!(c.max_depth >= 5, "depth {}", c.max_depth);
+    }
+
+    /// Every `Expr` and `Stmt` variant, with an array extent, constructor
+    /// initializers, a `for` with a declaration init, a range-`for`, a
+    /// `do`/`while`, an `else`, a nested block, an init list and both
+    /// cast spellings.
+    const EVERY_VARIANT: &str = r#"
+#include <iostream>
+using namespace std;
+int table[8];
+int main() {
+    // read the input
+    int n = 0, grid[4];
+    double scale = 1.5;
+    char c = 'x';
+    bool ok = true;
+    vector<int> xs = {1, 2, 3};
+    vector<int> ys(n, 0);
+    cin >> n;
+    xs.push_back(n);
+    for (int i = 0; i < n; ++i) {
+        if (i % 2 == 0) {
+            continue;
+        } else {
+            xs[i] = (int)scale + static_cast<int>(c);
+        }
+    }
+    for (auto x : xs) {
+        n += x > 0 ? x : -x;
+    }
+    while (n > 100) {
+        n = (n + 1) / 2;
+        break;
+    }
+    do {
+        n--;
+    } while (n > grid[0]);
+    {
+        ;
+    }
+    cout << "n: " << ys.size() << endl;
+    return ok ? n : 0;
+}
+"#;
+
+    /// Every expression and statement `walk_unit` reports, by address,
+    /// with the kind it reports for it, and its number of blocks.
+    #[derive(Default)]
+    struct Reported {
+        exprs: HashMap<*const Expr, NodeKind>,
+        stmts: HashMap<*const Stmt, NodeKind>,
+        blocks: usize,
+        pending_expr: Option<*const Expr>,
+        pending_stmt: Option<*const Stmt>,
+    }
+
+    impl Visitor for Reported {
+        fn visit(&mut self, kind: NodeKind, _depth: usize) {
+            if let Some(e) = self.pending_expr.take() {
+                self.exprs.insert(e, kind);
+            } else if let Some(s) = self.pending_stmt.take() {
+                self.stmts.insert(s, kind);
+            }
+            if kind == NodeKind::Block {
+                self.blocks += 1;
+            }
+        }
+
+        fn visit_stmt(&mut self, stmt: &Stmt) {
+            self.pending_stmt = Some(stmt);
+        }
+
+        fn visit_expr(&mut self, expr: &Expr) {
+            self.pending_expr = Some(expr);
+        }
+    }
+
+    /// Counts per kind of the `reached` nodes, as `reported` names them.
+    /// Fails on a node reached twice or one `walk_unit` does not report.
+    fn tally<T>(
+        reported: &HashMap<*const T, NodeKind>,
+        reached: &[*const T],
+    ) -> BTreeMap<NodeKind, usize> {
+        let mut seen = HashSet::new();
+        let mut table = BTreeMap::new();
+        for node in reached {
+            assert!(seen.insert(*node), "a walker reached a node twice");
+            let kind = reported
+                .get(node)
+                .expect("a walker reached a node walk_unit does not report");
+            *table.entry(*kind).or_insert(0) += 1;
+        }
+        table
+    }
+
+    /// The shared and mutable expression walkers reach exactly the
+    /// expressions `walk_unit` reports, with the same count per kind,
+    /// and the statement and block walkers every statement and block
+    /// once.
+    #[test]
+    fn walkers_reach_every_node_walk_unit_reports() {
+        let mut unit = parse(EVERY_VARIANT).unwrap();
+        let mut reported = Reported::default();
+        walk_unit(&unit, &mut reported);
+        let (mut exprs, mut stmts) = (Vec::new(), Vec::new());
+        for item in &unit.items {
+            match item {
+                Item::GlobalVar(d) => d.for_each_expr(&mut |root| {
+                    for_each_subexpr(root, &mut |e| exprs.push(e as *const Expr))
+                }),
+                Item::Function(f) => {
+                    for_each_expr_in(&f.body, &mut |e| exprs.push(e as *const Expr));
+                    for_each_stmt(&f.body, &mut |s| stmts.push(s as *const Stmt));
+                }
+                _ => {}
+            }
+        }
+        let mut exprs_mut = Vec::new();
+        for_each_expr_mut(&mut unit, &mut |e| exprs_mut.push(e as *const Expr));
+        let mut blocks = Vec::new();
+        for_each_block_mut(&mut unit, &mut |b| blocks.push(b as *const Block));
+
+        let all_exprs: Vec<_> = reported.exprs.keys().copied().collect();
+        let expr_table = tally(&reported.exprs, &all_exprs);
+        assert_eq!(
+            tally(&reported.exprs, &exprs),
+            expr_table,
+            "shared expression walker"
+        );
+        assert_eq!(
+            tally(&reported.exprs, &exprs_mut),
+            expr_table,
+            "mutable expression walker"
+        );
+        let all_stmts: Vec<_> = reported.stmts.keys().copied().collect();
+        let stmt_table = tally(&reported.stmts, &all_stmts);
+        assert_eq!(
+            tally(&reported.stmts, &stmts),
+            stmt_table,
+            "statement walker"
+        );
+        blocks.sort();
+        blocks.dedup();
+        assert_eq!(blocks.len(), reported.blocks, "block walker");
+        // The fixture holds every expression kind (`IntLit..=InitList`)
+        // and every statement kind (`Block..=EmptyStmt`).
+        for kind in NodeKind::all() {
+            if (NodeKind::IntLit..=NodeKind::InitList).contains(&kind) {
+                assert!(
+                    expr_table.contains_key(&kind),
+                    "the fixture has no {kind:?}"
+                );
+            }
+            if (NodeKind::Block..=NodeKind::EmptyStmt).contains(&kind) {
+                assert!(
+                    stmt_table.contains_key(&kind),
+                    "the fixture has no {kind:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,8 @@
 #                                     #   in a release build + the
 #                                     #   layout scan fuzz at 200,000
 #                                     #   cases in a release build
+#                                     #   + paper-scale `repro all`
+#                                     #   against repro_output.txt
 #   SYNTHATTR_WORKERS=1 scripts/verify.sh   # serial, for timing noise
 #
 # Each flag adds a check that plain tier-1 does not run; every test
@@ -67,9 +69,13 @@
 # build: that crate holds the workspace's one `unsafe` block (the
 # poll(2) call in its readiness module), and a release build tests it
 # as it ships, without the debug assertions and overflow checks of the
-# test profile. Last, it runs the layout scan's fuzz property (the
+# test profile. Then it runs the layout scan's fuzz property (the
 # single-pass scan against the multi-pass reference, DESIGN.md §12.2)
-# in release at 200,000 cases instead of the tier-1 4,096.
+# in release at 200,000 cases instead of the tier-1 4,096. Last, it
+# runs the paper-scale `target/release/repro all` (about 1 m 45 s on
+# 2 vCPU) and compares its stdout with repro_output.txt byte for byte,
+# printing the first differing lines on a mismatch: the whole-output
+# check that a change meant to keep every table unchanged needs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,6 +154,15 @@ if [[ "$STRICT" == "1" ]]; then
   echo "== strict: layout scan fuzz, 200000 cases (release) ==" >&2
   SYNTHATTR_PROP_CASES=200000 cargo test --release --offline -p synthattr-features --lib \
     scan_matches_the_multi_pass_reference
+  echo "== strict: paper-scale repro all vs repro_output.txt ==" >&2
+  fresh="$(mktemp)"
+  trap 'rm -f "$fresh"' EXIT
+  ./target/release/repro all > "$fresh"
+  if ! cmp -s repro_output.txt "$fresh"; then
+    echo "repro all differs from repro_output.txt; first differing lines:" >&2
+    diff repro_output.txt "$fresh" | head -n 20 >&2 || true
+    exit 1
+  fi
 fi
 
 echo "verify: OK" >&2

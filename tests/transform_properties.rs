@@ -6,6 +6,7 @@
 //! Driven by the in-repo harness (`synthattr::util::prop`) — see
 //! DESIGN.md's hermetic zero-dependency policy.
 
+use std::collections::{BTreeMap, HashMap, HashSet};
 use synthattr::analysis::{fingerprint_source, new_errors, Analyzer};
 use synthattr::features::collect::CodeStats;
 use synthattr::gen::challenges::ChallengeId;
@@ -14,8 +15,13 @@ use synthattr::gen::style::AuthorStyle;
 use synthattr::gpt::chain::{run_ct, run_nct};
 use synthattr::gpt::pool::YearPool;
 use synthattr::gpt::transform::Transformer;
+use synthattr::lang::ast::{Block, Expr, Item, NodeKind, Stmt};
 use synthattr::lang::parse;
 use synthattr::lang::render::{render, RenderStyle};
+use synthattr::lang::visit::{
+    for_each_block_mut, for_each_expr_in, for_each_expr_mut, for_each_stmt, for_each_subexpr,
+    walk_unit, Visitor,
+};
 use synthattr::util::prop::Runner;
 use synthattr::util::Pcg64;
 use synthattr_util::{prop_assert, prop_assert_eq};
@@ -25,6 +31,106 @@ use synthattr_util::{prop_assert, prop_assert_eq};
 fn challenge(idx: usize) -> ChallengeId {
     let all = ChallengeId::all();
     all[idx % all.len()]
+}
+
+/// Every expression and statement `walk_unit` reports, by address,
+/// with the kind it reports for it, and its number of blocks.
+#[derive(Default)]
+struct Reported {
+    exprs: HashMap<*const Expr, NodeKind>,
+    stmts: HashMap<*const Stmt, NodeKind>,
+    blocks: usize,
+    pending_expr: Option<*const Expr>,
+    pending_stmt: Option<*const Stmt>,
+}
+
+impl Visitor for Reported {
+    fn visit(&mut self, kind: NodeKind, _depth: usize) {
+        if let Some(e) = self.pending_expr.take() {
+            self.exprs.insert(e, kind);
+        } else if let Some(s) = self.pending_stmt.take() {
+            self.stmts.insert(s, kind);
+        }
+        if kind == NodeKind::Block {
+            self.blocks += 1;
+        }
+    }
+
+    fn visit_stmt(&mut self, stmt: &Stmt) {
+        self.pending_stmt = Some(stmt);
+    }
+
+    fn visit_expr(&mut self, expr: &Expr) {
+        self.pending_expr = Some(expr);
+    }
+}
+
+/// Counts per kind of the `reached` nodes, as `reported` names them.
+/// Fails on a node reached twice or one `walk_unit` does not report.
+fn tally<T>(
+    reported: &HashMap<*const T, NodeKind>,
+    reached: &[*const T],
+) -> BTreeMap<NodeKind, usize> {
+    let mut seen = HashSet::new();
+    let mut table = BTreeMap::new();
+    for node in reached {
+        assert!(seen.insert(*node), "a walker reached a node twice");
+        let kind = reported
+            .get(node)
+            .expect("a walker reached a node walk_unit does not report");
+        *table.entry(*kind).or_insert(0) += 1;
+    }
+    table
+}
+
+/// The shared and mutable expression walkers reach exactly the
+/// expressions `walk_unit` reports, with the same count per kind, and
+/// the statement and block walkers reach every statement and block
+/// once.
+fn assert_walkers_match_walk_unit(source: &str) {
+    let mut unit = parse(source).expect("source parses");
+    let mut reported = Reported::default();
+    walk_unit(&unit, &mut reported);
+    let (mut exprs, mut stmts) = (Vec::new(), Vec::new());
+    for item in &unit.items {
+        match item {
+            Item::GlobalVar(d) => d.for_each_expr(&mut |root| {
+                for_each_subexpr(root, &mut |e| exprs.push(e as *const Expr))
+            }),
+            Item::Function(f) => {
+                for_each_expr_in(&f.body, &mut |e| exprs.push(e as *const Expr));
+                for_each_stmt(&f.body, &mut |s| stmts.push(s as *const Stmt));
+            }
+            _ => {}
+        }
+    }
+    let mut exprs_mut = Vec::new();
+    for_each_expr_mut(&mut unit, &mut |e| exprs_mut.push(e as *const Expr));
+    let mut blocks = Vec::new();
+    for_each_block_mut(&mut unit, &mut |b| blocks.push(b as *const Block));
+
+    let all_exprs: Vec<_> = reported.exprs.keys().copied().collect();
+    let expr_table = tally(&reported.exprs, &all_exprs);
+    assert_eq!(
+        tally(&reported.exprs, &exprs),
+        expr_table,
+        "shared expression walker\n{source}"
+    );
+    assert_eq!(
+        tally(&reported.exprs, &exprs_mut),
+        expr_table,
+        "mutable expression walker\n{source}"
+    );
+    let all_stmts: Vec<_> = reported.stmts.keys().copied().collect();
+    let stmt_table = tally(&reported.stmts, &all_stmts);
+    assert_eq!(
+        tally(&reported.stmts, &stmts),
+        stmt_table,
+        "statement walker\n{source}"
+    );
+    blocks.sort();
+    blocks.dedup();
+    assert_eq!(blocks.len(), reported.blocks, "block walker\n{source}");
 }
 
 /// Every (style, challenge, seed) combination yields parseable
@@ -162,7 +268,8 @@ fn transforms_are_analyzer_clean_and_fingerprint_stable() {
 /// The acceptance invariant in its strongest form: for every pool
 /// seed (each challenge, rendered in a pool style), both the NCT fan
 /// and a full 50-step CT chain stay analyzer-clean and keep the
-/// seed's semantic fingerprint at every step.
+/// seed's semantic fingerprint at every step. The seed and every step
+/// also check the shared AST walkers against `walk_unit`.
 #[test]
 fn every_pool_seed_survives_a_50_step_chain() {
     let analyzer = Analyzer::new();
@@ -176,6 +283,7 @@ fn every_pool_seed_survives_a_50_step_chain() {
         );
         let seed_fp = fingerprint_source(&seed_src).expect("seed fingerprints");
         let pre = analyzer.analyze_source(&seed_src).expect("seed parses");
+        assert_walkers_match_walk_unit(&seed_src);
 
         let mut rng = Pcg64::seed_from(42, &["prop-ct", &ci.to_string()]);
         let ct = run_ct(&gpt, &seed_src, 50, Origin::ChatGpt, &mut rng);
@@ -201,6 +309,7 @@ fn every_pool_seed_survives_a_50_step_chain() {
                 s.step,
                 s.source
             );
+            assert_walkers_match_walk_unit(&s.source);
         }
     }
 }
