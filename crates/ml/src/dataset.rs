@@ -106,6 +106,11 @@ impl Dataset {
         &self.labels
     }
 
+    /// Takes the dataset apart into its rows, labels and class count.
+    pub(crate) fn into_parts(self) -> (Vec<Vec<f64>>, Vec<usize>, usize) {
+        (self.rows, self.labels, self.n_classes)
+    }
+
     /// Per-class sample counts.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_classes];

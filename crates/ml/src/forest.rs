@@ -3,6 +3,7 @@
 //! ([`RandomForest::fit_sharded`]).
 
 use crate::dataset::Dataset;
+use crate::rank::RankEncoding;
 use crate::source::DatasetSource;
 use crate::tree::{argmax, DecisionTree, TreeConfig};
 use std::io;
@@ -60,14 +61,22 @@ pub struct RandomForest {
 impl RandomForest {
     /// Trains a forest.
     ///
-    /// Each tree gets an independent RNG stream forked from `rng`, so
-    /// results are identical whether training runs parallel or serial.
+    /// Encodes `data` once (a crate-private rank encoding); every tree reads that
+    /// encoding. Each tree gets an independent RNG stream forked from
+    /// `rng`, so results are identical whether training runs parallel
+    /// or serial.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or `config.n_trees == 0`.
     pub fn fit(data: &Dataset, config: &ForestConfig, rng: &mut Pcg64) -> Self {
-        Self::fit_with(data, config, rng, DecisionTree::fit_on)
+        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
+        Self::fit_encoded(
+            &RankEncoding::new(data),
+            config,
+            rng,
+            DecisionTree::fit_encoded,
+        )
     }
 
     /// Trains through the naive reference splitter
@@ -76,37 +85,32 @@ impl RandomForest {
     /// [`Self::fit`]. Exists for the golden-equivalence tests.
     #[cfg(test)]
     pub fn fit_reference(data: &Dataset, config: &ForestConfig, rng: &mut Pcg64) -> Self {
-        Self::fit_with(data, config, rng, crate::tree::reference::fit_on)
+        Self::fit_encoded(
+            &RankEncoding::new(data),
+            config,
+            rng,
+            |encoded, indices, tree, tree_rng| {
+                crate::tree::reference::fit_encoded(data, encoded, indices, tree, tree_rng)
+            },
+        )
     }
 
-    /// Shared trainer: forks one RNG stream per tree *before*
-    /// dispatch, so worker count never changes the forest, then fits
-    /// each bootstrap through `fit_on`.
-    fn fit_with(
-        data: &Dataset,
-        config: &ForestConfig,
-        rng: &mut Pcg64,
-        fit_on: fn(&Dataset, &[usize], &TreeConfig, &mut Pcg64) -> DecisionTree,
-    ) -> Self {
-        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
+    /// Shared trainer: fits tree `t` on its bootstrap ([`tree_draw`])
+    /// through `grow`, on the worker pool. The draws depend only on
+    /// `rng` and `t`, so worker count never changes the forest.
+    fn fit_encoded<G>(data: &RankEncoding, config: &ForestConfig, rng: &Pcg64, grow: G) -> Self
+    where
+        G: Fn(&RankEncoding, &[usize], &TreeConfig, &mut Pcg64) -> DecisionTree + Sync,
+    {
         assert!(config.n_trees > 0, "forest needs at least one tree");
-        let n = data.len();
-        let sample_size = ((n * config.bootstrap_pct as usize) / 100).max(1);
-
-        // Pre-derive per-tree seeds so parallel and serial training
-        // produce identical forests.
-        let seeds: Vec<Pcg64> = (0..config.n_trees)
-            .map(|t| rng.fork(&["tree", &t.to_string()]))
-            .collect();
-
-        let train_one = |mut tree_rng: Pcg64| -> DecisionTree {
-            let indices: Vec<usize> = (0..sample_size).map(|_| tree_rng.next_below(n)).collect();
-            fit_on(data, &indices, &config.tree, &mut tree_rng)
-        };
-
-        let trees =
-            pool::parallel_map_workers(pool::resolve_workers(config.workers), seeds, train_one);
-
+        let trees = pool::parallel_map_workers(
+            pool::resolve_workers(config.workers),
+            (0..config.n_trees).collect(),
+            |t| {
+                let (mut tree_rng, indices) = tree_draw(rng, t, data.len(), config.bootstrap_pct);
+                grow(data, &indices, &config.tree, &mut tree_rng)
+            },
+        );
         RandomForest {
             trees,
             n_classes: data.n_classes(),
@@ -120,22 +124,24 @@ impl RandomForest {
     /// (sizes differing by at most one). Tree `t` trains on shard
     /// `t % n_shards`: its bootstrap draws from that shard's rows
     /// only, with the bootstrap size scaled to the shard. Shards load
-    /// and train concurrently on the worker pool; at most the loading
-    /// shards' rows are resident at once. The per-shard sub-forests
-    /// merge back in tree-index order, so the result is one ordinary
+    /// and train concurrently on the worker pool. A shard's rows are
+    /// consumed as they are rank-encoded and its trees
+    /// train from the encoding alone, so at most the loading shards'
+    /// rows are resident at once. The per-shard sub-forests merge back
+    /// in tree-index order, so the result is one ordinary
     /// [`RandomForest`].
     ///
     /// # Determinism
     ///
     /// Per-tree RNG streams are forked from `rng` by tree index —
-    /// exactly the derivation [`Self::fit`] uses — before any
-    /// dispatch, and shard assignment is pure arithmetic, so the
-    /// trained forest depends only on `(source rows, n_shards,
-    /// config, seed)`: never on the worker count. With `n_shards ==
-    /// 1` the whole source loads as one dataset and trains through
-    /// `fit` itself, so the forest is **bit-identical** to `fit` on
-    /// the materialized dataset (the `tests/scale_out.rs` A/B suite
-    /// pins this at paper scale).
+    /// exactly the derivation [`Self::fit`] uses — and
+    /// shard assignment is pure arithmetic, so the trained forest
+    /// depends only on `(source rows, n_shards, config, seed)`: never
+    /// on the worker count. With `n_shards == 1` the whole source
+    /// loads as one dataset and trains through `fit`'s trainer, so the
+    /// forest is **bit-identical** to `fit` on the materialized
+    /// dataset (the `tests/scale_out.rs` A/B suite pins this at paper
+    /// scale).
     ///
     /// # Errors
     ///
@@ -159,17 +165,17 @@ impl RandomForest {
         let n_shards = n_shards.clamp(1, n.min(config.n_trees));
 
         if n_shards == 1 {
-            // Degenerate sharding: load once and train through fit,
-            // parallel over trees (shard-level parallelism would leave
-            // every worker but one idle).
-            return Ok(Self::fit(&source.load_rows(0, n)?, config, rng));
+            // Degenerate sharding: load once and train through fit's
+            // trainer, parallel over trees (shard-level parallelism
+            // would leave every worker but one idle).
+            let data = RankEncoding::from_rows(source.load_rows(0, n)?);
+            return Ok(Self::fit_encoded(
+                &data,
+                config,
+                rng,
+                DecisionTree::fit_encoded,
+            ));
         }
-
-        // Per-tree seeds forked before dispatch — the same path
-        // strings as fit_with, so tree t's stream matches fit's.
-        let seeds: Vec<Pcg64> = (0..config.n_trees)
-            .map(|t| rng.fork(&["tree", &t.to_string()]))
-            .collect();
 
         // Shard s covers a contiguous range; the first `rem` shards
         // absorb the remainder row each.
@@ -180,33 +186,33 @@ impl RandomForest {
             let count = base + usize::from(s < rem);
             (start, count)
         };
-        // Tree t → shard t % n_shards, with its pre-forked seed.
-        let mut shard_trees: Vec<Vec<(usize, Pcg64)>> = vec![Vec::new(); n_shards];
-        for (t, seed) in seeds.into_iter().enumerate() {
-            shard_trees[t % n_shards].push((t, seed));
+        // Tree t → shard t % n_shards.
+        let mut shard_trees: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        for t in 0..config.n_trees {
+            shard_trees[t % n_shards].push(t);
         }
 
+        let rng = &*rng;
         let train_shard =
-            |(s, trees): (usize, Vec<(usize, Pcg64)>)| -> io::Result<Vec<(usize, DecisionTree)>> {
+            |(s, trees): (usize, Vec<usize>)| -> io::Result<Vec<(usize, DecisionTree)>> {
                 let (start, count) = range_of(s);
-                let data = source.load_rows(start, count)?;
-                let sample_size = ((count * config.bootstrap_pct as usize) / 100).max(1);
+                // The loaded rows are consumed as they are encoded:
+                // only the encoding stays resident.
+                let data = RankEncoding::from_rows(source.load_rows(start, count)?);
                 Ok(trees
                     .into_iter()
-                    .map(|(t, mut tree_rng)| {
-                        let indices: Vec<usize> = (0..sample_size)
-                            .map(|_| tree_rng.next_below(count))
-                            .collect();
+                    .map(|t| {
+                        let (mut tree_rng, indices) =
+                            tree_draw(rng, t, count, config.bootstrap_pct);
                         (
                             t,
-                            DecisionTree::fit_on(&data, &indices, &config.tree, &mut tree_rng),
+                            DecisionTree::fit_encoded(&data, &indices, &config.tree, &mut tree_rng),
                         )
                     })
                     .collect())
             };
 
-        let shard_jobs: Vec<(usize, Vec<(usize, Pcg64)>)> =
-            shard_trees.into_iter().enumerate().collect();
+        let shard_jobs: Vec<(usize, Vec<usize>)> = shard_trees.into_iter().enumerate().collect();
         let per_shard = pool::parallel_try_map_workers(
             pool::resolve_workers(config.workers),
             shard_jobs,
@@ -288,6 +294,19 @@ impl RandomForest {
 /// Batches below this size are predicted on the calling thread: the
 /// pool's thread spawn costs more than a handful of tree walks.
 const PARALLEL_PREDICT_MIN: usize = 64;
+
+/// Tree `t`'s RNG stream and bootstrap, the one derivation every
+/// bagged trainer shares: the stream is forked from the forest's `rng`
+/// by tree index (forking leaves `rng` untouched, so trees may draw in
+/// any order, on any worker), and its first draws pick the bootstrap,
+/// `bootstrap_pct`% of `n` rows (at least one) with replacement. The
+/// tree grows from the rest of the stream.
+pub(crate) fn tree_draw(rng: &Pcg64, t: usize, n: usize, bootstrap_pct: u8) -> (Pcg64, Vec<usize>) {
+    let mut tree_rng = rng.fork(&["tree", &t.to_string()]);
+    let sample_size = ((n * bootstrap_pct as usize) / 100).max(1);
+    let indices = (0..sample_size).map(|_| tree_rng.next_below(n)).collect();
+    (tree_rng, indices)
+}
 
 #[cfg(test)]
 mod tests {
@@ -446,6 +465,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A column holding `-0.0`, `+0.0`, negative and positive values:
+    /// the encoding merges the two zeros into one rank, and the forest
+    /// must still equal the reference's, thresholds compared by bits.
+    #[test]
+    fn signed_zero_column_trains_the_reference_forest_bit_for_bit() {
+        let column = [-1.5, -0.25, -0.0, 0.0, 0.75, 2.0];
+        let mut rng = Pcg64::new(23);
+        let mut train = Dataset::new(3);
+        for _ in 0..96 {
+            let v: f64 = column[rng.next_below(column.len())];
+            // Negatives, zeros and positives mostly carry their own
+            // class, so the zero run borders the chosen thresholds.
+            let label = if rng.next_below(5) == 0 {
+                rng.next_below(3)
+            } else if v == 0.0 {
+                1
+            } else {
+                usize::from(v > 0.0) * 2
+            };
+            let noise = [-0.0, 0.0, 1.0][rng.next_below(3)];
+            train.push(vec![v, noise], label);
+        }
+        let mut zero_borders = 0;
+        for seed in [4u64, 19] {
+            for workers in [1usize, 4] {
+                let cfg = ForestConfig {
+                    n_trees: 12,
+                    workers: Some(workers),
+                    ..ForestConfig::default()
+                };
+                let fast = RandomForest::fit(&train, &cfg, &mut Pcg64::new(seed));
+                let naive = RandomForest::fit_reference(&train, &cfg, &mut Pcg64::new(seed));
+                for (t, (a, b)) in fast.trees.iter().zip(&naive.trees).enumerate() {
+                    let bits = a.node_bits();
+                    assert_eq!(
+                        bits,
+                        b.node_bits(),
+                        "seed {seed} workers {workers} tree {t}"
+                    );
+                    zero_borders += bits
+                        .iter()
+                        .filter(|node| {
+                            node[0] == 0
+                                && node[1] == 0
+                                && [-0.125f64, 0.375].map(f64::to_bits).contains(&node[2])
+                        })
+                        .count();
+                }
+            }
+        }
+        assert!(zero_borders > 0, "no split bordered the zero run");
     }
 
     #[test]

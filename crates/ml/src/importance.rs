@@ -7,7 +7,8 @@
 //! the OOB estimate gives a train-time generalization proxy.
 
 use crate::dataset::Dataset;
-use crate::forest::ForestConfig;
+use crate::forest::{tree_draw, ForestConfig};
+use crate::rank::RankEncoding;
 use crate::tree::DecisionTree;
 use synthattr_util::Pcg64;
 
@@ -28,8 +29,8 @@ pub struct AnalysisForest {
 
 impl AnalysisForest {
     /// Trains with the same sampling scheme as
-    /// [`crate::forest::RandomForest::fit`] (serial; analysis runs are
-    /// not on the hot path).
+    /// [`crate::forest::RandomForest::fit`], from one encoding of
+    /// `data` (serial; analysis runs are not on the hot path).
     ///
     /// # Panics
     ///
@@ -37,14 +38,12 @@ impl AnalysisForest {
     pub fn fit(data: &Dataset, config: &ForestConfig, rng: &mut Pcg64) -> Self {
         assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
         assert!(config.n_trees > 0, "forest needs at least one tree");
-        let n = data.len();
-        let sample_size = ((n * config.bootstrap_pct as usize) / 100).max(1);
+        let encoded = RankEncoding::new(data);
         let mut trees = Vec::with_capacity(config.n_trees);
         let mut in_bag = Vec::with_capacity(config.n_trees);
         for t in 0..config.n_trees {
-            let mut tree_rng = rng.fork(&["tree", &t.to_string()]);
-            let indices: Vec<usize> = (0..sample_size).map(|_| tree_rng.next_below(n)).collect();
-            let tree = DecisionTree::fit_on(data, &indices, &config.tree, &mut tree_rng);
+            let (mut tree_rng, indices) = tree_draw(rng, t, data.len(), config.bootstrap_pct);
+            let tree = DecisionTree::fit_encoded(&encoded, &indices, &config.tree, &mut tree_rng);
             let mut bag = indices;
             bag.sort_unstable();
             bag.dedup();

@@ -52,6 +52,7 @@ pub mod dataset;
 pub mod forest;
 pub mod importance;
 pub mod metrics;
+mod rank;
 pub mod select;
 pub mod source;
 pub mod tree;

@@ -1,27 +1,32 @@
 //! CART decision trees with Gini impurity and per-node feature
 //! subsampling (the randomized trees inside the forest).
 //!
-//! # The fast split search
+//! # The split search
 //!
 //! The split search is the training hot path: every node scans `k`
-//! candidate features over `n` samples. The optimised path
-//! (`SplitScratch`) keeps all per-node working memory in buffers
-//! reused down the recursion and maintains **incremental class counts
-//! with a running sum of squared counts** for both sides of the
-//! candidate split, so the Gini gain of each position is an O(1)
-//! update instead of an O(C) re-count — and no count vector is ever
-//! allocated inside the scan.
+//! candidate features over `n` samples. It reads a `RankEncoding` of
+//! the training set, built once per forest fit: per column, each row's
+//! rank among the column's distinct values. Per node, `SplitScratch`
+//! gathers the node-local labels once; per candidate it gathers the
+//! node's ranks from one contiguous column and groups the rows by
+//! rank, by counting sort when the column has at most
+//! `COUNTING_SORT_RATIO` distinct values per node row and by sorting
+//! packed `rank << 32 | label` keys otherwise. The sweep then keeps
+//! **incremental class counts with a running sum of squared counts**
+//! for both sides of the candidate split, so the Gini gain of each
+//! position is an O(1) update, and all working memory is reused down
+//! the recursion.
 //!
-//! Because class counts are integers, the running sums of squares are
-//! *exactly* equal to the naive recomputation, so the optimised search
-//! selects bit-identical `(feature, threshold, gain)` triples to the
-//! reference implementation retained in [`reference`]. A golden
-//! equivalence test and a property test
+//! The search selects bit-identical `(feature, threshold, gain)`
+//! triples to the reference implementation retained in [`reference`],
+//! which sorts the raw values: ranks order rows exactly as
+//! [`f64::total_cmp`] does and change exactly where the values differ,
+//! so both score the same boundaries; class counts are integers, so
+//! the running sums of squares equal the naive recount; and a
+//! threshold read from the distinct-value table has the bits of one
+//! computed from the rows (DESIGN.md §7 gives the `±0.0` argument). A
+//! golden equivalence test and a property test
 //! (`optimized_split_matches_reference`) pin this invariant.
-//!
-//! All float sorts use [`f64::total_cmp`]: the comparator is total
-//! even in the presence of NaN, so a corrupt value can never scramble
-//! the sort order (NaN sorts after every finite value).
 //!
 //! # Scaling to tens of thousands of classes
 //!
@@ -45,6 +50,7 @@
 //!   remap, so the equivalence tests pin the whole arrangement.
 
 use crate::dataset::Dataset;
+use crate::rank::RankEncoding;
 use synthattr_util::Pcg64;
 
 /// How many candidate features each split considers.
@@ -139,7 +145,12 @@ impl ClassRemap {
     /// Starts a node: maps its distinct labels to `0..m` and fills
     /// `counts` with the local class histogram (`counts[s]` = samples
     /// of the class in slot `s`).
-    pub(crate) fn begin(&mut self, data: &Dataset, indices: &[usize], counts: &mut Vec<usize>) {
+    pub(crate) fn begin(
+        &mut self,
+        data: &RankEncoding,
+        indices: &[usize],
+        counts: &mut Vec<usize>,
+    ) {
         self.epoch += 1;
         self.classes.clear();
         counts.clear();
@@ -169,19 +180,33 @@ impl ClassRemap {
     }
 }
 
+/// Counting sort groups a node's rows when the candidate column has at
+/// most this many distinct values per node row; past it, sorting the
+/// node's keys is cheaper than walking the column's empty buckets.
+const COUNTING_SORT_RATIO: usize = 2;
+
+/// Whether a node of `rows` rows groups a column of `distinct` values
+/// by counting sort (else by sorting its keys).
+#[inline]
+fn counting_sort_fits(distinct: usize, rows: usize) -> bool {
+    distinct <= COUNTING_SORT_RATIO * rows
+}
+
 /// Reusable per-node working memory for the split search, owned once
 /// per tree fit and threaded down the recursion so no inner loop
 /// allocates.
 ///
-/// `pairs` holds the sorted `(sort key, label)` projection of the
-/// node's samples onto one candidate feature — the key is the
-/// order-preserving integer image of the value (see [`total_cmp_key`]),
-/// so the sort runs on plain `u64` compares instead of re-deriving the
-/// `total_cmp` bit transform at every comparison. `left_counts` /
+/// `labels` holds the node-local class slot of each of the node's rows;
+/// `keys` the node's `rank << 32 | slot` keys for one candidate, in row
+/// order, and `grouped` the same keys grouped by ascending rank when a
+/// counting sort (with its `buckets`) groups them. `left_counts` /
 /// `right_counts` are the incrementally-maintained class histograms of
 /// the two sides of the sweeping split position.
 pub(crate) struct SplitScratch {
-    pairs: Vec<(u64, usize)>,
+    labels: Vec<u32>,
+    keys: Vec<u64>,
+    grouped: Vec<u64>,
+    buckets: Vec<u32>,
     left_counts: Vec<usize>,
     right_counts: Vec<usize>,
 }
@@ -189,28 +214,32 @@ pub(crate) struct SplitScratch {
 impl SplitScratch {
     pub(crate) fn new() -> Self {
         SplitScratch {
-            pairs: Vec::new(),
+            labels: Vec::new(),
+            keys: Vec::new(),
+            grouped: Vec::new(),
+            buckets: Vec::new(),
             left_counts: Vec::new(),
             right_counts: Vec::new(),
         }
     }
 
-    /// The optimised split search: one sort per candidate feature,
-    /// then a single sweep maintaining class counts and sums of
-    /// squared counts for both sides, so each candidate position costs
-    /// O(1) instead of an O(C) allocation + re-count.
+    /// The split search: per candidate feature, group the node's rows
+    /// by rank, then a single sweep maintaining class counts and sums
+    /// of squared counts for both sides, so each candidate position
+    /// costs O(1) instead of an O(C) allocation + re-count.
     ///
     /// `counts` is the node-local histogram produced by
     /// [`ClassRemap::begin`]; labels are read through `remap`, so the
     /// side histograms are sized to the node's distinct classes.
     ///
     /// Returns the same `(feature, threshold, gain)` as
-    /// [`reference::best_split`], bit for bit: the running sums of
-    /// squares are integer arithmetic, so the floating-point Gini
-    /// expressions receive identical operands in both paths.
+    /// [`reference::best_split`], bit for bit: a boundary is scored
+    /// exactly where the sorted values differ, the running sums of
+    /// squares are integer arithmetic, and the floating-point Gini and
+    /// threshold expressions receive identical operands in both paths.
     pub(crate) fn find_best(
         &mut self,
-        data: &Dataset,
+        data: &RankEncoding,
         indices: &[usize],
         candidates: &[usize],
         counts: &[usize],
@@ -226,36 +255,41 @@ impl SplitScratch {
         // both ginis are ratios of finite integers).
         let mut best_gain = f64::NEG_INFINITY;
         let SplitScratch {
-            pairs,
+            labels,
+            keys,
+            grouped,
+            buckets,
             left_counts,
             right_counts,
         } = self;
+        labels.clear();
+        labels.extend(indices.iter().map(|&i| remap.local(data.label(i)) as u32));
+        grouped.resize(total, 0);
         left_counts.clear();
         left_counts.resize(counts.len(), 0);
         right_counts.clear();
         right_counts.resize(counts.len(), 0);
         for &feature in candidates {
-            pairs.clear();
-            pairs.extend(indices.iter().map(|&i| {
-                (
-                    total_cmp_key(data.row(i)[feature]),
-                    remap.local(data.label(i)),
-                )
-            }));
-            // Unstable sort on integer keys: no allocation, and no
-            // per-comparison float bit transform. Within a run of
-            // equal values the label order is irrelevant — splits are
-            // only scored at value boundaries, where the side
-            // histograms are permutation-invariant.
-            pairs.sort_unstable_by_key(|p| p.0);
-            // Length-pinned view so the sweep's indexing is
-            // bounds-check-free.
-            let pairs = &pairs[..total];
-            // Constant-feature and tie checks must compare the
-            // *recovered floats*, not the keys: -0.0 and +0.0 have
-            // distinct keys but are equal values, and the reference
-            // compares values.
-            if key_to_f64(pairs[0].0) == key_to_f64(pairs[total - 1].0) {
+            let ranks = data.ranks(feature);
+            let values = data.values(feature);
+            keys.clear();
+            keys.extend(
+                indices
+                    .iter()
+                    .zip(labels.iter())
+                    .map(|(&i, &slot)| u64::from(ranks[i]) << 32 | u64::from(slot)),
+            );
+            // Within a run of equal ranks the label order is
+            // irrelevant — splits are only scored at rank boundaries,
+            // where the side histograms are permutation-invariant.
+            let sorted: &[u64] = if counting_sort_fits(values.len(), total) {
+                group_by_rank(keys, values.len(), buckets, &mut grouped[..total]);
+                &grouped[..total]
+            } else {
+                keys.sort_unstable();
+                &keys[..total]
+            };
+            if sorted[0] >> 32 == sorted[total - 1] >> 32 {
                 continue; // constant feature in this node
             }
             left_counts.fill(0);
@@ -265,14 +299,14 @@ impl SplitScratch {
             for split_at in 1..total {
                 // Move one sample from the right side to the left:
                 // (c+1)^2 - c^2 = 2c+1 and (c-1)^2 - c^2 = -(2c-1).
-                let (prev_key, class) = pairs[split_at - 1];
+                let prev = sorted[split_at - 1];
+                let class = prev as u32 as usize;
                 left_sq += 2 * left_counts[class] as u64 + 1;
                 left_counts[class] += 1;
                 right_sq -= 2 * right_counts[class] as u64 - 1;
                 right_counts[class] -= 1;
-                let prev_val = key_to_f64(prev_key);
-                let cur_val = key_to_f64(pairs[split_at].0);
-                if prev_val == cur_val {
+                let (prev_rank, cur_rank) = (prev >> 32, sorted[split_at] >> 32);
+                if prev_rank == cur_rank {
                     continue; // cannot split between equal values
                 }
                 let n_left = split_at;
@@ -286,12 +320,34 @@ impl SplitScratch {
                 // terminates because both children are strictly smaller.
                 if gain > best_gain {
                     best_gain = gain;
-                    let threshold = 0.5 * (prev_val + cur_val);
+                    let threshold = 0.5 * (values[prev_rank as usize] + values[cur_rank as usize]);
                     best = Some((feature, threshold, gain));
                 }
             }
         }
         best
+    }
+}
+
+/// Counting sort of `keys` by rank (their high 32 bits, each below
+/// `distinct`) into `out`, ascending; keys of one rank keep their
+/// input order.
+fn group_by_rank(keys: &[u64], distinct: usize, buckets: &mut Vec<u32>, out: &mut [u64]) {
+    buckets.clear();
+    buckets.resize(distinct + 1, 0);
+    for &key in keys {
+        buckets[(key >> 32) as usize + 1] += 1;
+    }
+    // Running sums turn the shifted counts into each rank's first slot.
+    let mut next = 0u32;
+    for slot in buckets.iter_mut() {
+        next += *slot;
+        *slot = next;
+    }
+    for &key in keys {
+        let slot = &mut buckets[(key >> 32) as usize];
+        out[*slot as usize] = key;
+        *slot += 1;
     }
 }
 
@@ -304,29 +360,53 @@ pub struct DecisionTree {
 
 impl DecisionTree {
     /// Fits a tree on `data`, optionally restricted to the sample
-    /// indices in `indices` (bootstrap support).
+    /// indices in `indices` (bootstrap support). Encodes `data` once
+    /// per call; the forest trainers encode once per forest instead.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or `indices` is empty.
     pub fn fit_on(data: &Dataset, indices: &[usize], config: &TreeConfig, rng: &mut Pcg64) -> Self {
+        Self::fit_encoded(&RankEncoding::new(data), indices, config, rng)
+    }
+
+    /// [`Self::fit_on`] over an encoding the caller built (and may
+    /// share between trees).
+    pub(crate) fn fit_encoded(
+        data: &RankEncoding,
+        indices: &[usize],
+        config: &TreeConfig,
+        rng: &mut Pcg64,
+    ) -> Self {
+        let mut scratch = SplitScratch::new();
+        Self::grow(
+            data,
+            indices,
+            config,
+            rng,
+            &mut |d, i, cand, counts, rm, pg| scratch.find_best(d, i, cand, counts, rm, pg),
+        )
+    }
+
+    /// Grows a tree over `indices` with the split search `find_best`.
+    fn grow<F>(
+        data: &RankEncoding,
+        indices: &[usize],
+        config: &TreeConfig,
+        rng: &mut Pcg64,
+        find_best: &mut F,
+    ) -> Self
+    where
+        F: FnMut(&RankEncoding, &[usize], &[usize], &[usize], &ClassRemap, f64) -> BestSplit,
+    {
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
         let mut tree = DecisionTree {
             nodes: Vec::new(),
             n_classes: data.n_classes(),
         };
         let mut idx = indices.to_vec();
-        let mut scratch = SplitScratch::new();
         let mut remap = ClassRemap::new(data.n_classes());
-        tree.build_with(
-            data,
-            &mut idx,
-            0,
-            config,
-            rng,
-            &mut remap,
-            &mut |d, i, cand, counts, rm, pg| scratch.find_best(d, i, cand, counts, rm, pg),
-        );
+        tree.build_with(data, &mut idx, 0, config, rng, &mut remap, find_best);
         tree
     }
 
@@ -362,13 +442,14 @@ impl DecisionTree {
     ///
     /// The growth skeleton (stopping rules, candidate sampling, RNG
     /// draws, partitioning, recursion order) is shared between the
-    /// optimised and the reference splitter, so the two trainers can
-    /// only differ through `find_best` — which the equivalence tests
-    /// prove they don't.
+    /// optimised and the reference splitter, and reads labels and
+    /// partition values from the encoding in both, so the two trainers
+    /// can only differ through `find_best` — which the equivalence
+    /// tests prove they don't.
     #[allow(clippy::too_many_arguments)]
     fn build_with<F>(
         &mut self,
-        data: &Dataset,
+        data: &RankEncoding,
         indices: &mut [usize],
         depth: usize,
         config: &TreeConfig,
@@ -377,7 +458,7 @@ impl DecisionTree {
         find_best: &mut F,
     ) -> usize
     where
-        F: FnMut(&Dataset, &[usize], &[usize], &[usize], &ClassRemap, f64) -> BestSplit,
+        F: FnMut(&RankEncoding, &[usize], &[usize], &[usize], &ClassRemap, f64) -> BestSplit,
     {
         // Node-local class histogram: `counts[s]` counts the class in
         // remap slot `s`, so its length is the node's *distinct* class
@@ -401,8 +482,10 @@ impl DecisionTree {
             return self.leaf(&counts, remap.classes(), total);
         };
 
-        // Partition indices in place around the threshold.
-        let mid = partition(indices, |&i| data.row(i)[feature] <= threshold);
+        // Partition indices in place around the threshold. The encoded
+        // value differs from the row's at most in the sign of a zero,
+        // which `<=` does not see.
+        let mid = partition(indices, |&i| data.value(feature, i) <= threshold);
         if mid == 0 || mid == total {
             return self.leaf(&counts, remap.classes(), total);
         }
@@ -497,15 +580,48 @@ impl DecisionTree {
     }
 }
 
+#[cfg(test)]
+impl DecisionTree {
+    /// Every node in arena order, bit for bit: a split as `[0, feature,
+    /// threshold bits, left, right]`, a leaf as `[1]` followed by its
+    /// `(class, probability bits)` pairs.
+    pub(crate) fn node_bits(&self) -> Vec<Vec<u64>> {
+        self.nodes
+            .iter()
+            .map(|node| match node {
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => vec![
+                    0,
+                    *feature as u64,
+                    threshold.to_bits(),
+                    *left as u64,
+                    *right as u64,
+                ],
+                Node::Leaf { dist } => std::iter::once(1)
+                    .chain(
+                        dist.iter()
+                            .flat_map(|&(class, p)| [u64::from(class), u64::from(p.to_bits())]),
+                    )
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
 /// The naive split search retained as the correctness reference for
 /// the optimised path.
 ///
-/// It re-sorts a freshly extended scratch vector per feature with a
-/// stable sort and materialises a new `right_counts` vector at every
-/// candidate split position — the O(n·k·C) allocation pattern the
-/// fast path eliminates. Training through it must produce
-/// **bit-identical** trees to [`DecisionTree::fit_on`]; the golden
-/// equivalence tests rely on that.
+/// It sorts the raw `f64` values of the node's rows with a stable
+/// `total_cmp` sort per feature and materialises a new `right_counts`
+/// vector at every candidate split position — the O(n·k·C) allocation
+/// pattern the optimised path eliminates. It grows trees through the
+/// same skeleton as [`DecisionTree::fit_on`], so training through it
+/// must produce **bit-identical** trees; the golden equivalence tests
+/// rely on that.
 #[cfg(test)]
 pub mod reference {
     use super::*;
@@ -522,15 +638,25 @@ pub mod reference {
         config: &TreeConfig,
         rng: &mut Pcg64,
     ) -> DecisionTree {
-        assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            n_classes: data.n_classes(),
-        };
-        let mut idx = indices.to_vec();
-        let mut remap = ClassRemap::new(data.n_classes());
-        tree.build_with(data, &mut idx, 0, config, rng, &mut remap, &mut best_split);
-        tree
+        fit_encoded(data, &RankEncoding::new(data), indices, config, rng)
+    }
+
+    /// [`fit_on`] with the skeleton reading `encoded` (the encoding of
+    /// `data`), while the split search reads the rows of `data`.
+    pub(crate) fn fit_encoded(
+        data: &Dataset,
+        encoded: &RankEncoding,
+        indices: &[usize],
+        config: &TreeConfig,
+        rng: &mut Pcg64,
+    ) -> DecisionTree {
+        DecisionTree::grow(
+            encoded,
+            indices,
+            config,
+            rng,
+            &mut |_, i, cand, counts, rm, pg| best_split(data, i, cand, counts, rm, pg),
+        )
     }
 
     /// The naive per-node search: allocates and re-counts at every
@@ -597,27 +723,6 @@ pub(crate) fn argmax(xs: &[f32]) -> usize {
         }
     }
     best
-}
-
-/// Order-preserving integer image of an `f64`: sorting keys ascending
-/// orders the originals exactly as [`f64::total_cmp`] ascending would
-/// (NaN after every finite value). This is the same bit transform
-/// `total_cmp` applies per comparison — hoisted to once per element.
-#[inline]
-fn total_cmp_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    // Negatives: flip all bits (reverses their order). Non-negatives:
-    // flip only the sign bit (lifts them above all negatives).
-    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
-}
-
-/// Exact inverse of [`total_cmp_key`]: recovers the original bits, so
-/// thresholds computed from recovered values are bit-identical to ones
-/// computed from the values themselves.
-#[inline]
-fn key_to_f64(key: u64) -> f64 {
-    let mask = if key & (1 << 63) != 0 { 1 << 63 } else { !0u64 };
-    f64::from_bits(key ^ mask)
 }
 
 /// Sum of squared class counts — the integer core of the Gini
@@ -820,27 +925,56 @@ mod tests {
         }
     }
 
+    /// A grid value: code 0 is `-0.0`, and code 3 is `+0.0` between
+    /// negative and positive halves, so columns mix both zeros.
+    fn grid_value(code: u8) -> f64 {
+        if code == 0 {
+            -0.0
+        } else {
+            (f64::from(code) - 3.0) / 2.0
+        }
+    }
+
     /// Satellite property test: on random seeded datasets — including
-    /// ties and constant features — the optimised split search picks
-    /// exactly the same `(feature, threshold, gain)` as the reference.
+    /// ties, constant features and `-0.0`/`+0.0` mixes — and
+    /// bootstrap-like nodes (rows drawn with repeats) on both sides of
+    /// the counting-sort switch, the rank-encoded split search picks
+    /// exactly the same `(feature, threshold, gain)` as the reference,
+    /// compared by bits.
     #[test]
     fn optimized_split_matches_reference() {
-        Runner::new("split_equivalence").cases(192).run(
+        // Candidate columns grouped by counting sort / by key sort.
+        let paths = std::cell::Cell::new((0usize, 0usize));
+        Runner::new("split_equivalence").cases(256).run(
             |rng| {
                 let n_classes = 2 + rng.next_below(3);
-                let n = 2 + rng.next_below(40);
-                let dim = 1 + rng.next_below(5);
+                let n = 2 + rng.next_below(79);
+                // A narrow grid gives heavy ties; a wide one gives many
+                // distinct values, which small nodes group by key sort.
+                let widths: Vec<usize> = (0..1 + rng.next_below(5))
+                    .map(|_| {
+                        if rng.next_below(2) == 0 {
+                            6
+                        } else {
+                            8 + rng.next_below(120)
+                        }
+                    })
+                    .collect();
                 let rows: Vec<Vec<u8>> = (0..n)
-                    .map(|_| (0..dim).map(|_| rng.next_below(4) as u8).collect())
+                    .map(|_| widths.iter().map(|&w| rng.next_below(w) as u8).collect())
                     .collect();
                 let labels: Vec<u8> = (0..n).map(|_| rng.next_below(n_classes) as u8).collect();
-                (n_classes as u8, rows, labels)
+                let node: Vec<u8> = (0..1 + rng.next_below(2 * n))
+                    .map(|_| rng.next_below(n) as u8)
+                    .collect();
+                (n_classes as u8, rows, labels, node)
             },
-            |(n_classes, rows, labels)| {
+            |(n_classes, rows, labels, node)| {
                 let n_classes = (*n_classes).max(1) as usize;
                 let n = rows.len().min(labels.len());
-                if n < 2 {
-                    return Ok(()); // shrinking may drop below a splittable size
+                let indices: Vec<usize> = node.iter().map(|&i| usize::from(i)).collect();
+                if n == 0 || indices.is_empty() || indices.iter().any(|&i| i >= n) {
+                    return Ok(()); // shrinking may drop rows a node names
                 }
                 let dim = rows[0].len();
                 if dim == 0 || rows[..n].iter().any(|r| r.len() != dim) {
@@ -848,25 +982,41 @@ mod tests {
                 }
                 let mut ds = Dataset::new(n_classes);
                 for i in 0..n {
-                    // Map the integer grid to halves so thresholds land
-                    // between representable values, including ties.
-                    let row: Vec<f64> = rows[i].iter().map(|&v| v as f64 / 2.0).collect();
+                    let row: Vec<f64> = rows[i].iter().map(|&v| grid_value(v)).collect();
                     ds.push(row, labels[i] as usize % n_classes);
                 }
-                let indices: Vec<usize> = (0..n).collect();
+                let encoded = RankEncoding::new(&ds);
                 let candidates: Vec<usize> = (0..dim).collect();
                 let mut remap = ClassRemap::new(n_classes);
                 let mut counts = Vec::new();
-                remap.begin(&ds, &indices, &mut counts);
-                let parent_gini = gini_from_sq(sum_sq(&counts), n);
+                remap.begin(&encoded, &indices, &mut counts);
+                let parent_gini = gini_from_sq(sum_sq(&counts), indices.len());
                 let mut scratch = SplitScratch::new();
-                let fast =
-                    scratch.find_best(&ds, &indices, &candidates, &counts, &remap, parent_gini);
+                let fast = scratch.find_best(
+                    &encoded,
+                    &indices,
+                    &candidates,
+                    &counts,
+                    &remap,
+                    parent_gini,
+                );
                 let naive =
                     reference::best_split(&ds, &indices, &candidates, &counts, &remap, parent_gini);
-                prop_assert_eq!(fast, naive, "split search diverged");
+                let bits = |b: BestSplit| b.map(|(f, t, g)| (f, t.to_bits(), g.to_bits()));
+                prop_assert_eq!(bits(fast), bits(naive), "split search diverged");
+                let (counted, sorted) = paths.get();
+                let by_count = candidates
+                    .iter()
+                    .filter(|&&f| counting_sort_fits(encoded.values(f).len(), indices.len()))
+                    .count();
+                paths.set((counted + by_count, sorted + dim - by_count));
                 Ok(())
             },
+        );
+        let (counted, sorted) = paths.get();
+        assert!(
+            counted > 0 && sorted > 0,
+            "both groupings must be exercised: {counted} by counting sort, {sorted} by key sort"
         );
     }
 
@@ -896,35 +1046,6 @@ mod tests {
         // ...and the finite separation is still learned.
         assert_eq!(t1.predict(&[1.0, 1.0]), 0);
         assert_eq!(t1.predict(&[10.0, 1.0]), 1);
-    }
-
-    #[test]
-    fn sort_key_round_trips_and_orders_like_total_cmp() {
-        let specials = [
-            f64::NEG_INFINITY,
-            -1.5e300,
-            -1.0,
-            -f64::MIN_POSITIVE / 2.0, // negative subnormal
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE / 2.0,
-            1.0,
-            1.5e300,
-            f64::INFINITY,
-            f64::NAN,
-            -f64::NAN,
-        ];
-        for &a in &specials {
-            // Bit-exact round trip (NaN payloads included).
-            assert_eq!(key_to_f64(total_cmp_key(a)).to_bits(), a.to_bits());
-            for &b in &specials {
-                assert_eq!(
-                    total_cmp_key(a).cmp(&total_cmp_key(b)),
-                    a.total_cmp(&b),
-                    "key order diverges from total_cmp for {a} vs {b}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -961,6 +1082,7 @@ mod tests {
         for &(label, v) in &[(4usize, 0.0), (1, 1.0), (4, 2.0), (5, 3.0), (1, 4.0)] {
             ds.push(vec![v], label);
         }
+        let ds = RankEncoding::new(&ds);
         let mut remap = ClassRemap::new(6);
         let mut counts = Vec::new();
         remap.begin(&ds, &[0, 1, 2, 3, 4], &mut counts);

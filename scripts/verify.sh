@@ -28,8 +28,10 @@
 #                                     #   + rustdoc with -D warnings
 #                                     #   + the serve crate's tests
 #                                     #   in a release build + the
-#                                     #   layout scan fuzz at 200,000
-#                                     #   cases in a release build
+#                                     #   layout scan fuzz and the
+#                                     #   split-search equivalence
+#                                     #   property at 200,000 cases
+#                                     #   each in a release build
 #                                     #   + paper-scale `repro all`
 #                                     #   against repro_output.txt
 #   SYNTHATTR_WORKERS=1 scripts/verify.sh   # serial, for timing noise
@@ -71,9 +73,12 @@
 # as it ships, without the debug assertions and overflow checks of the
 # test profile. Then it runs the layout scan's fuzz property (the
 # single-pass scan against the multi-pass reference, DESIGN.md §12.2)
-# in release at 200,000 cases instead of the tier-1 4,096. Last, it
-# runs the paper-scale `target/release/repro all` (about 1 m 45 s on
-# 2 vCPU) and compares its stdout with repro_output.txt byte for byte,
+# in release at 200,000 cases instead of the tier-1 4,096, and the
+# split-search equivalence property (the rank-encoded split search
+# against the naive reference splitter, DESIGN.md §7) in release at
+# 200,000 cases instead of the tier-1 256. Last, it runs the
+# paper-scale `target/release/repro all` (about 1 m 10 s on 2 vCPU)
+# and compares its stdout with repro_output.txt byte for byte,
 # printing the first differing lines on a mismatch: the whole-output
 # check that a change meant to keep every table unchanged needs.
 set -euo pipefail
@@ -154,6 +159,9 @@ if [[ "$STRICT" == "1" ]]; then
   echo "== strict: layout scan fuzz, 200000 cases (release) ==" >&2
   SYNTHATTR_PROP_CASES=200000 cargo test --release --offline -p synthattr-features --lib \
     scan_matches_the_multi_pass_reference
+  echo "== strict: split-search equivalence, 200000 cases (release) ==" >&2
+  SYNTHATTR_PROP_CASES=200000 cargo test --release --offline -p synthattr-ml --lib \
+    optimized_split_matches_reference
   echo "== strict: paper-scale repro all vs repro_output.txt ==" >&2
   fresh="$(mktemp)"
   trap 'rm -f "$fresh"' EXIT
