@@ -9,20 +9,28 @@
 //! 1. comments are dropped (pure annotation);
 //! 2. parentheses, `static_cast` spelling and `.c_str()` adapters are
 //!    erased; `endl` becomes the string `"\n"`;
-//! 3. trivially-outlined helpers (zero parameters, a single trailing
+//! 3. loops take one form: read-only range-`for` loops over a named
+//!    container are lowered to indexed loops
+//!    ([`rewrite::lower_foreach`]), then every conditioned `for`
+//!    becomes its `while` form ([`rewrite::for_to_while`]: init hoisted
+//!    into a wrapper block, step appended to the body). This comes
+//!    before steps 4 and 5, so a helper called from a `for` header and
+//!    a multi-declarator `for` init end up where they do after the
+//!    transformer's own for→while conversion;
+//! 4. trivially-outlined helpers (zero parameters, a single trailing
 //!    `return`, exactly one call site) are inlined back — the inverse
 //!    of the paper's Figure 4a helper extraction;
-//! 4. multi-declarator statements are split (`int a, b;` → two decls);
-//! 5. read-only range-`for` loops over a named container are lowered to
-//!    indexed loops, exactly as the transformer lowers them;
-//! 6. every conditioned `for` becomes its `while` form (init hoisted
-//!    into a wrapper block, step appended to the body);
+//! 5. multi-declarator statements are split
+//!    ([`rewrite::split_declarations`]);
+//! 6. stdio IO is rewritten to the stream idiom
+//!    ([`rewrite::stdio_to_stream`]: `printf` → `cout` chain, `scanf`
+//!    → `cin` chain) and adjacent string operands merge;
 //! 7. statement-position `x++`/`x--` become prefix form, compound
 //!    assignments are expanded (`x += v` → `x = x + v`), and
-//!    ternary-assignments are distributed back into `if`/`else`;
-//! 8. stdio IO is rewritten to the stream idiom (`printf` → `cout`
-//!    chain, `scanf` → `cin` chain) and adjacent string operands merge;
-//! 9. declared names are α-renamed to position-canonical names.
+//!    ternary-assignments are distributed back into `if`/`else`
+//!    ([`rewrite::ternary_assign_to_if`], then `x = x op (c ? a : b)`
+//!    here);
+//! 8. declared names are α-renamed to position-canonical names.
 //!
 //! The result is hashed with the AST's structural hash. Two programs
 //! with equal fingerprints are therefore identical modulo naming,
@@ -30,9 +38,13 @@
 //!
 //! Every step walks the tree through the shared walkers of
 //! [`synthattr_lang::visit`]; this module lists no node's children.
+//! The rewrites the transformer also performs are the shared ones of
+//! [`synthattr_lang::rewrite`], so the two cannot drift apart; what
+//! stays here are the normal-form steps only the fingerprint takes.
 
 use std::collections::{HashMap, HashSet};
 use synthattr_lang::ast::*;
+use synthattr_lang::rewrite::{self, chain_operands, rebuild_chain};
 use synthattr_lang::visit::{
     declared_names, for_each_block_mut, for_each_decl_site, for_each_expr_in, for_each_expr_mut,
     for_each_stmt, for_each_subexpr_mut, rename_idents, DeclSite,
@@ -60,9 +72,9 @@ pub fn normalize(unit: &TranslationUnit) -> TranslationUnit {
     let mut u = unit.clone();
     strip_comments(&mut u);
     scrub_exprs(&mut u);
+    normalize_loops(&mut u);
     inline_trivial_helpers(&mut u);
-    split_declarations(&mut u);
-    lower_all_foreach(&mut u);
+    for_each_block_mut(&mut u, &mut rewrite::split_declarations);
     normalize_io(&mut u);
     normalize_stmts(&mut u);
     canonicalize_names(&mut u);
@@ -124,7 +136,36 @@ fn scrub_exprs(u: &mut TranslationUnit) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Helper inlining (inverse of Figure 4a extraction)
+// 3. Loop form: range-for lowering, then for -> while
+// ---------------------------------------------------------------------------
+
+/// Lowers every read-only range-`for` over a named container to the
+/// indexed `for` the transformer produces, then turns every conditioned
+/// `for`, lowered ones included, into its `while` form.
+fn normalize_loops(u: &mut TranslationUnit) {
+    let taken: HashSet<String> = declared_names(u).into_iter().collect();
+    let mut counter = 0usize;
+    // The walk rewrites a block's statements before it descends into
+    // the blocks they leave in place, so loops nested in a rewritten
+    // body are rewritten too.
+    for_each_block_mut(u, &mut |block| {
+        for stmt in &mut block.stmts {
+            rewrite::lower_foreach(stmt, |name| {
+                let mut idx = format!("__fe{counter}");
+                while taken.contains(&idx) || idx == name {
+                    counter += 1;
+                    idx = format!("__fe{counter}");
+                }
+                counter += 1;
+                Some(idx)
+            });
+            rewrite::for_to_while(stmt);
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// 4. Helper inlining (inverse of Figure 4a extraction)
 // ---------------------------------------------------------------------------
 
 fn count_returns(b: &Block) -> usize {
@@ -241,201 +282,20 @@ fn replace_call(stmt: &mut Stmt, name: &str, value: &Expr) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Declaration splitting
-// ---------------------------------------------------------------------------
-
-fn split_declarations(u: &mut TranslationUnit) {
-    for_each_block_mut(u, &mut |block| {
-        let mut out: Vec<Stmt> = Vec::with_capacity(block.stmts.len());
-        for stmt in block.stmts.drain(..) {
-            if let Stmt::Decl(d) = &stmt {
-                if d.declarators.len() > 1 {
-                    for dd in &d.declarators {
-                        out.push(Stmt::Decl(Declaration {
-                            ty: d.ty.clone(),
-                            declarators: vec![dd.clone()],
-                        }));
-                    }
-                    continue;
-                }
-            }
-            out.push(stmt);
-        }
-        block.stmts = out;
-    });
-}
-
-// ---------------------------------------------------------------------------
-// 5. Range-for lowering (mirrors the transformer's `lower_foreach`)
-// ---------------------------------------------------------------------------
-
-fn lower_all_foreach(u: &mut TranslationUnit) {
-    let taken: HashSet<String> = declared_names(u).into_iter().collect();
-    let mut counter = 0usize;
-    for_each_block_mut(u, &mut |block| {
-        for stmt in &mut block.stmts {
-            let Stmt::ForEach {
-                by_ref: false,
-                iterable: Expr::Ident(_),
-                ..
-            } = stmt
-            else {
-                continue;
-            };
-            let Stmt::ForEach {
-                ty,
-                name,
-                iterable: Expr::Ident(container),
-                body,
-                ..
-            } = std::mem::replace(stmt, Stmt::Empty)
-            else {
-                unreachable!();
-            };
-            let mut idx = format!("__fe{counter}");
-            while taken.contains(&idx) || idx == name {
-                counter += 1;
-                idx = format!("__fe{counter}");
-            }
-            counter += 1;
-            let elem_ty = match ty {
-                Type::Auto => Type::Int,
-                other => other,
-            };
-            let mut inner = vec![Stmt::Decl(Declaration {
-                ty: elem_ty,
-                declarators: vec![Declarator::init(
-                    name,
-                    Expr::index(Expr::ident(container.clone()), Expr::ident(idx.clone())),
-                )],
-            })];
-            inner.extend(body.stmts);
-            let bound = Expr::Cast {
-                ty: Type::Int,
-                expr: Box::new(Expr::method(Expr::ident(container), "size", vec![])),
-            };
-            *stmt = Stmt::For {
-                init: Some(Box::new(Stmt::Decl(Declaration {
-                    ty: Type::Int,
-                    declarators: vec![Declarator::init(idx.clone(), Expr::Int(0))],
-                }))),
-                cond: Some(Expr::bin(BinaryOp::Lt, Expr::ident(idx.clone()), bound)),
-                step: Some(Expr::Unary {
-                    op: UnaryOp::PostInc,
-                    expr: Box::new(Expr::ident(idx)),
-                }),
-                body: Block::new(inner),
-            };
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
 // 6. IO idiom: stdio -> stream, merged string operands
 // ---------------------------------------------------------------------------
 
 fn normalize_io(u: &mut TranslationUnit) {
     for_each_block_mut(u, &mut |block| {
         for stmt in &mut block.stmts {
-            let Stmt::Expr(e) = stmt else { continue };
-            stdio_call_to_chain(e);
-            merge_cout_strings(e);
+            // `endl` is already the string "\n" (step 2), so the
+            // trailing newline stays a string here too.
+            rewrite::stdio_to_stream(stmt, false);
+            if let Stmt::Expr(e) = stmt {
+                merge_cout_strings(e);
+            }
         }
     });
-}
-
-fn stdio_call_to_chain(e: &mut Expr) {
-    let Expr::Call { callee, args } = e else {
-        return;
-    };
-    let Expr::Ident(name) = callee.unparenthesized() else {
-        return;
-    };
-    if name == "scanf" && args.len() >= 2 {
-        let operands: Vec<Expr> = args[1..]
-            .iter()
-            .map(|a| match a {
-                Expr::Unary {
-                    op: UnaryOp::AddrOf,
-                    expr,
-                } => (**expr).clone(),
-                other => other.clone(),
-            })
-            .collect();
-        *e = rebuild_chain("cin", BinaryOp::Shr, operands);
-    } else if name == "printf" && !args.is_empty() {
-        let Expr::Str(fmt) = &args[0] else { return };
-        let Some(operands) = printf_operands(fmt, &args[1..]) else {
-            return;
-        };
-        *e = rebuild_chain("cout", BinaryOp::Shl, operands);
-    }
-}
-
-/// Splits a printf format into cout operands (same grammar as the
-/// transformer's converter: optional flags, `l` length modifiers, and
-/// the `d`/`f`/`s`/`c`/`u` conversions; `%%` is a literal percent).
-fn printf_operands(fmt: &str, args: &[Expr]) -> Option<Vec<Expr>> {
-    let mut operands = Vec::new();
-    let mut text = String::new();
-    let mut arg_iter = args.iter();
-    let chars: Vec<char> = fmt.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i] == '%' {
-            if i + 1 < chars.len() && chars[i + 1] == '%' {
-                text.push('%');
-                i += 2;
-                continue;
-            }
-            let mut j = i + 1;
-            while j < chars.len() && !chars[j].is_ascii_alphabetic() {
-                j += 1;
-            }
-            while j < chars.len() && chars[j] == 'l' {
-                j += 1;
-            }
-            if j >= chars.len() || !matches!(chars[j], 'd' | 'f' | 's' | 'c' | 'u') {
-                return None;
-            }
-            if !text.is_empty() {
-                operands.push(Expr::Str(std::mem::take(&mut text)));
-            }
-            operands.push(arg_iter.next()?.clone());
-            i = j + 1;
-        } else {
-            text.push(chars[i]);
-            i += 1;
-        }
-    }
-    if !text.is_empty() {
-        operands.push(Expr::Str(text));
-    }
-    Some(operands)
-}
-
-fn rebuild_chain(root: &str, op: BinaryOp, operands: Vec<Expr>) -> Expr {
-    let mut e = Expr::ident(root);
-    for operand in operands {
-        e = Expr::bin(op, e, operand);
-    }
-    e
-}
-
-fn chain_operands(e: &Expr, op: BinaryOp, root: &str) -> Option<Vec<Expr>> {
-    match e {
-        Expr::Binary {
-            op: actual,
-            lhs,
-            rhs,
-        } if *actual == op => {
-            let mut left = chain_operands(lhs, op, root)?;
-            left.push((**rhs).clone());
-            Some(left)
-        }
-        Expr::Ident(name) if name == root => Some(Vec::new()),
-        _ => None,
-    }
 }
 
 /// `cout << "a" << "b"` and `cout << "ab"` are the same output; merge
@@ -460,84 +320,45 @@ fn merge_cout_strings(e: &mut Expr) {
 }
 
 // ---------------------------------------------------------------------------
-// 7. Statement normal forms: loop shape, inc/dec, compound sugar,
-//    ternary-assignment distribution
+// 7. Statement normal forms: inc/dec, compound sugar, ternary-assignment
+//    distribution
 // ---------------------------------------------------------------------------
 
 fn normalize_stmts(u: &mut TranslationUnit) {
     // The walk rewrites a block's statements before it descends into
-    // the child blocks they leave in place, so the bodies (and hoisted
-    // inits) of lowered loops are normalized too.
+    // the child blocks they leave in place, so the branches of a
+    // distributed ternary are normalized too.
     for_each_block_mut(u, &mut |b| b.stmts.iter_mut().for_each(norm_stmt));
 }
 
 fn norm_stmt(stmt: &mut Stmt) {
-    // Rewrite this node to a fixed point.
-    loop {
-        match stmt {
-            // Conditioned `for` -> canonical `while` form. The init is
-            // hoisted into a wrapper block exactly as the transformer's
-            // for->while conversion does, so both directions land on
-            // the same shape.
-            Stmt::For { cond: Some(_), .. } => {
-                let Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                } = std::mem::replace(stmt, Stmt::Empty)
-                else {
-                    unreachable!();
-                };
-                let mut inner = body.stmts;
-                if let Some(s) = step {
-                    inner.push(Stmt::Expr(s));
-                }
-                let while_stmt = Stmt::While {
-                    cond: cond.expect("matched above"),
-                    body: Block::new(inner),
-                };
-                *stmt = match init {
-                    Some(init) => Stmt::Block(Block::new(vec![*init, while_stmt])),
-                    None => while_stmt,
-                };
-                continue;
-            }
-            Stmt::Expr(e) => {
-                if norm_value_dropped_expr(e) {
-                    continue;
-                }
-                // Ternary-assignment -> if/else (inverse of the
-                // transformer's conditional conversion, generalized to
-                // the compound-expanded form `x = x op (c ? a : b)`).
-                if let Some(rewritten) = distribute_ternary(e) {
-                    *stmt = rewritten;
-                    continue;
-                }
-                break;
-            }
-            _ => break,
+    match stmt {
+        Stmt::Expr(e) => {
+            norm_value_dropped_expr(e);
+            // Ternary-assignment -> if/else: the inverse of the
+            // transformer's conditional conversion, then the same for
+            // the compound-expanded form `x = x op (c ? a : b)`.
+            rewrite::ternary_assign_to_if(stmt);
+            distribute_ternary_operand(stmt);
         }
-    }
-    // Canonicalize the step of any remaining (condition-less) `for`.
-    if let Stmt::For { step: Some(s), .. } = stmt {
-        norm_value_dropped_expr(s);
+        // Only `for`s without a condition are left (step 3); the step
+        // is a value-dropped position too.
+        Stmt::For { step: Some(s), .. } => norm_value_dropped_expr(s),
+        _ => {}
     }
 }
 
 /// Rewrites an expression whose value is dropped (statement or for-step
 /// position): postfix inc/dec becomes prefix, compound assignment is
-/// expanded. Returns whether anything changed.
-fn norm_value_dropped_expr(e: &mut Expr) -> bool {
+/// expanded.
+fn norm_value_dropped_expr(e: &mut Expr) {
     match e {
         Expr::Unary { op, .. } => {
-            let fixed = match *op {
+            *op = match *op {
                 UnaryOp::PostInc => UnaryOp::PreInc,
                 UnaryOp::PostDec => UnaryOp::PreDec,
-                _ => return false,
+                other => other,
             };
-            *op = fixed;
-            true
         }
         Expr::Assign { op, lhs, rhs } => {
             let bop = match op {
@@ -546,7 +367,7 @@ fn norm_value_dropped_expr(e: &mut Expr) -> bool {
                 AssignOp::Mul => BinaryOp::Mul,
                 AssignOp::Div => BinaryOp::Div,
                 AssignOp::Mod => BinaryOp::Mod,
-                AssignOp::Assign => return false,
+                AssignOp::Assign => return,
             };
             let target = lhs.clone();
             let value = std::mem::replace(rhs, Box::new(Expr::Int(0)));
@@ -559,70 +380,53 @@ fn norm_value_dropped_expr(e: &mut Expr) -> bool {
                     rhs: value,
                 }),
             };
-            true
         }
-        _ => false,
+        _ => {}
     }
 }
 
-/// `x = c ? a : b`            -> `if (c) x = a; else x = b;`
-/// `x = x op (c ? a : b)`     -> `if (c) x = x op a; else x = x op b;`
-/// (the second shape is what compound expansion makes of `x += c?a:b`).
-fn distribute_ternary(e: &Expr) -> Option<Stmt> {
-    let Expr::Assign {
+/// `x = x op (c ? a : b)` -> `if (c) x = x op a; else x = x op b;`,
+/// the shape compound expansion makes of `x op= c ? a : b`.
+fn distribute_ternary_operand(stmt: &mut Stmt) {
+    let Stmt::Expr(Expr::Assign {
         op: AssignOp::Assign,
         lhs,
         rhs,
-    } = e
+    }) = stmt
     else {
-        return None;
+        return;
     };
-    let branch = |value: Expr| {
-        Block::new(vec![Stmt::Expr(Expr::Assign {
-            op: AssignOp::Assign,
-            lhs: lhs.clone(),
-            rhs: Box::new(value),
-        })])
+    let Expr::Binary {
+        op,
+        lhs: base,
+        rhs: operand,
+    } = rhs.as_ref()
+    else {
+        return;
     };
-    match rhs.as_ref() {
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => Some(Stmt::If {
-            cond: (**cond).clone(),
-            then_branch: branch((**then_expr).clone()),
-            else_branch: Some(branch((**else_expr).clone())),
-        }),
-        Expr::Binary {
-            op,
-            lhs: base,
-            rhs: operand,
-        } => {
-            let Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-            } = operand.as_ref()
-            else {
-                return None;
-            };
-            if base != lhs {
-                return None;
-            }
-            let apply = |value: &Expr| Expr::Binary {
-                op: *op,
-                lhs: base.clone(),
-                rhs: Box::new(value.clone()),
-            };
-            Some(Stmt::If {
-                cond: (**cond).clone(),
-                then_branch: branch(apply(then_expr)),
-                else_branch: Some(branch(apply(else_expr))),
-            })
-        }
-        _ => None,
+    let Expr::Ternary {
+        cond,
+        then_expr,
+        else_expr,
+    } = operand.as_ref()
+    else {
+        return;
+    };
+    if base != lhs {
+        return;
     }
+    let branch = |value: &Expr| {
+        Block::new(vec![Stmt::Expr(Expr::assign(
+            AssignOp::Assign,
+            (**lhs).clone(),
+            Expr::bin(*op, (**base).clone(), value.clone()),
+        ))])
+    };
+    *stmt = Stmt::If {
+        cond: (**cond).clone(),
+        then_branch: branch(then_expr),
+        else_branch: Some(branch(else_expr)),
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -672,6 +476,20 @@ mod tests {
         let a = fp("int main() { for (int i = 0; i < 9; i++) { } return 0; }");
         let b = fp("int main() { { int i = 0; while (i < 9) { ++i; } } return 0; }");
         assert_eq!(a, b);
+        // A multi-declarator init is hoisted whole and then split, as
+        // the transformer's for→while conversion and its declaration
+        // splitting leave it.
+        let c = fp(
+            "int main() { int n = 5, s = 0; for (int i = 0, j = n; i < j; i++) { s += j - i; } return s; }",
+        );
+        let d = fp(
+            "int main() { int n = 5; int s = 0; { int i = 0; int j = n; while (i < j) { s += j - i; i++; } } return s; }",
+        );
+        let e = fp(
+            "int main() { int n = 5, s = 0; { int i = 0, j = n; while (i < j) { s += j - i; i++; } } return s; }",
+        );
+        assert_eq!(c, d);
+        assert_eq!(c, e);
     }
 
     #[test]
@@ -704,6 +522,30 @@ mod tests {
             "#include <iostream>\nusing namespace std;\nint solve() { int n; cin >> n; int r = n * 2; return r; }\nint main() { int t; cin >> t; for (int i = 1; i <= t; i++) { cout << \"Case #\" << i << \": \" << solve() << \"\\n\"; } return 0; }",
         );
         assert_eq!(flat, outlined);
+        // A helper called once from a `for` header inlines to the same
+        // place whether the loop is a `for` or its `while` form.
+        let helper = "#include <iostream>\nusing namespace std;\nint solve() { int n; cin >> n; return n; }\n";
+        for (for_form, while_form) in [
+            (
+                "for (int r = solve(); r > 0; r--) { s += r; }",
+                "{ int r = solve(); while (r > 0) { s += r; r--; } }",
+            ),
+            (
+                "for (int i = 0; i < solve(); i++) { s += i; }",
+                "{ int i = 0; while (i < solve()) { s += i; i++; } }",
+            ),
+            (
+                "for (int i = 0; i < 9; i += solve()) { s += i; }",
+                "{ int i = 0; while (i < 9) { s += i; i += solve(); } }",
+            ),
+        ] {
+            let program = |lp: &str| format!("{helper}int main() {{ int s = 0; {lp} return s; }}");
+            assert_eq!(
+                fp(&program(for_form)),
+                fp(&program(while_form)),
+                "{for_form}"
+            );
+        }
     }
 
     #[test]

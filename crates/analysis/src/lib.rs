@@ -9,10 +9,11 @@
 //!   identifier use to its declaration (params, for-init declarations,
 //!   typedef/`using` aliases, `#define` macros, and the std names
 //!   implied by includes / `using namespace std`).
-//! - [`passes`]: a [`Pass`] framework with an [`Analyzer`] registry and
-//!   severity-tagged [`Diagnostic`]s. Five built-in passes detect
-//!   undeclared identifiers, duplicate declarations, shadowing, unused
-//!   variables, and unreachable code after `return`/`break`/`continue`.
+//! - [`passes`]: the [`Analyzer`], which runs a fixed table of seven
+//!   passes and reports severity-tagged [`Diagnostic`]s: undeclared
+//!   identifiers, duplicate declarations, reads before any assignment,
+//!   shadowing, unused variables, dead stores, and unreachable code
+//!   after `return`/`break`/`continue`.
 //! - [`mod@fingerprint`]: a normalized AST hash that quotients out names,
 //!   layout, loop form, compound-assignment sugar, IO idiom and helper
 //!   outlining, so `fingerprint(c0) == fingerprint(GPT(c0))` is
@@ -38,5 +39,5 @@ pub mod resolve;
 pub use cfg::Cfg;
 pub use dataflow::{dead_stores, solve, use_before_init, Analysis, DataflowSummary, Direction};
 pub use fingerprint::{fingerprint, fingerprint_source, normalize};
-pub use passes::{error_count, new_errors, Analyzer, Context, Diagnostic, Pass, Severity};
+pub use passes::{error_count, new_errors, Analyzer, Diagnostic, Severity};
 pub use resolve::{resolve, Binding, BindingKind, Resolution, Undeclared};

@@ -1,8 +1,9 @@
-//! The diagnostic pass framework and the built-in passes.
+//! The diagnostic passes and the [`Analyzer`] that runs them.
 //!
-//! A [`Pass`] inspects a resolved translation unit and appends
-//! [`Diagnostic`]s. The [`Analyzer`] owns a pass registry, resolves the
-//! unit once, and hands every pass the shared [`Context`].
+//! The seven built-in passes are a fixed table, run in order. The
+//! [`Analyzer`] resolves the unit once, builds the per-function CFGs on
+//! first demand, and stamps each pass's findings with the pass's name
+//! and severity.
 //!
 //! Severity policy: anything that would fail to compile or read an
 //! unbound name is an [`Severity::Error`]; style and dead-code findings
@@ -12,8 +13,8 @@
 use crate::cfg::Cfg;
 use crate::dataflow::{dead_stores, use_before_init};
 use crate::resolve::{resolve, Resolution};
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use synthattr_lang::ast::*;
 use synthattr_lang::{parse, ParseError};
 
@@ -62,83 +63,110 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Shared input handed to every pass.
-pub struct Context<'a> {
+/// What every pass reads.
+struct Input<'a> {
     /// The unit under analysis.
-    pub unit: &'a TranslationUnit,
+    unit: &'a TranslationUnit,
     /// Its resolution (bindings, use counts, unresolved uses).
-    pub resolution: &'a Resolution,
-    /// Per-function CFGs, built on first demand and shared by every
-    /// dataflow pass.
-    cfgs: OnceLock<Vec<Cfg>>,
+    resolution: Resolution,
+    /// Per-function CFGs, built on first demand and shared by the
+    /// dataflow passes.
+    cfgs: OnceCell<Vec<Cfg>>,
 }
 
-impl<'a> Context<'a> {
-    /// A context over `unit` and its `resolution`.
-    pub fn new(unit: &'a TranslationUnit, resolution: &'a Resolution) -> Self {
-        Context {
-            unit,
-            resolution,
-            cfgs: OnceLock::new(),
-        }
-    }
-
-    /// The unit's per-function CFGs (built at most once per context).
-    pub fn cfgs(&self) -> &[Cfg] {
+impl Input<'_> {
+    fn cfgs(&self) -> &[Cfg] {
         self.cfgs.get_or_init(|| Cfg::build_all(self.unit))
     }
 }
 
-/// A single analysis pass.
-pub trait Pass {
-    /// Stable pass name (used in reports and gate accounting).
-    fn name(&self) -> &'static str;
+/// A finding before its pass stamps it: `(site, message)`.
+type Finding = (String, String);
 
-    /// The severity of every diagnostic this pass emits. Gates reject
+/// One built-in pass.
+struct Pass {
+    /// Stable pass name (used in reports and gate accounting).
+    name: &'static str,
+    /// The severity of every diagnostic the pass emits. Gates reject
     /// on [`Severity::Error`] only, so this is the pass's contract with
     /// the pipeline, not a per-finding judgment call.
-    fn severity(&self) -> Severity;
-
-    /// Appends findings for `ctx` to `out`.
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>);
+    severity: Severity,
+    /// Appends the pass's findings.
+    run: fn(&Input<'_>, &mut Vec<Finding>),
 }
 
-/// The pass registry: resolves once, runs every registered pass.
-pub struct Analyzer {
-    passes: Vec<Box<dyn Pass + Send + Sync>>,
-}
+/// The built-in passes, in run order.
+const PASSES: [Pass; 7] = [
+    Pass {
+        name: "undeclared-identifier",
+        severity: Severity::Error,
+        run: undeclared_identifier,
+    },
+    Pass {
+        name: "duplicate-declaration",
+        severity: Severity::Error,
+        run: duplicate_declaration,
+    },
+    Pass {
+        name: "use-before-init",
+        severity: Severity::Error,
+        run: read_before_init,
+    },
+    Pass {
+        name: "variable-shadowing",
+        severity: Severity::Warning,
+        run: variable_shadowing,
+    },
+    Pass {
+        name: "unused-variable",
+        severity: Severity::Warning,
+        run: unused_variable,
+    },
+    Pass {
+        name: "dead-store",
+        severity: Severity::Warning,
+        run: dead_store,
+    },
+    Pass {
+        name: "unreachable-code",
+        severity: Severity::Warning,
+        run: unreachable_code,
+    },
+];
+
+/// Runs the built-in passes: resolves the unit once and hands every
+/// pass the same resolution.
+#[derive(Debug, Default)]
+pub struct Analyzer;
 
 impl Analyzer {
-    /// An analyzer with every built-in pass registered.
+    /// An analyzer running every built-in pass.
     pub fn new() -> Self {
-        Analyzer {
-            passes: vec![
-                Box::new(UndeclaredIdentifier),
-                Box::new(DuplicateDeclaration),
-                Box::new(UseBeforeInit),
-                Box::new(VariableShadowing),
-                Box::new(UnusedVariable),
-                Box::new(DeadStore),
-                Box::new(UnreachableCode),
-            ],
-        }
+        Analyzer
     }
 
-    /// Name and severity of the registered passes, in run order.
+    /// Name and severity of the passes, in run order.
     pub fn pass_summaries(&self) -> Vec<(&'static str, Severity)> {
-        self.passes
-            .iter()
-            .map(|p| (p.name(), p.severity()))
-            .collect()
+        PASSES.iter().map(|p| (p.name, p.severity)).collect()
     }
 
     /// Runs every pass over `unit`.
     pub fn analyze(&self, unit: &TranslationUnit) -> Vec<Diagnostic> {
-        let resolution = resolve(unit);
-        let ctx = Context::new(unit, &resolution);
+        let input = Input {
+            unit,
+            resolution: resolve(unit),
+            cfgs: OnceCell::new(),
+        };
         let mut out = Vec::new();
-        for pass in &self.passes {
-            pass.run(&ctx, &mut out);
+        let mut findings = Vec::new();
+        for pass in &PASSES {
+            (pass.run)(&input, &mut findings);
+            out.extend(findings.drain(..).map(|(site, message)| Diagnostic {
+                pass: pass.name,
+                severity: pass.severity,
+                site,
+                message,
+            }));
         }
         out
     }
@@ -150,12 +178,6 @@ impl Analyzer {
     /// Returns the parse error when `source` is outside the subset.
     pub fn analyze_source(&self, source: &str) -> Result<Vec<Diagnostic>, ParseError> {
         Ok(self.analyze(&parse(source)?))
-    }
-}
-
-impl Default for Analyzer {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -198,237 +220,131 @@ pub fn new_errors<'a>(pre: &[Diagnostic], post: &'a [Diagnostic]) -> Vec<&'a Dia
 // Built-in passes
 // ---------------------------------------------------------------------------
 
-/// Reports identifier uses that resolve to no binding and no std name.
-/// One diagnostic per distinct name (the first site), to keep a single
-/// orphaned variable from flooding the report.
-pub struct UndeclaredIdentifier;
-
-impl Pass for UndeclaredIdentifier {
-    fn name(&self) -> &'static str {
-        "undeclared-identifier"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let mut counts: Vec<(&str, &str, usize)> = Vec::new();
-        for u in &ctx.resolution.undeclared {
-            match counts.iter_mut().find(|(n, _, _)| *n == u.name) {
-                Some((_, _, c)) => *c += 1,
-                None => counts.push((&u.name, &u.site, 1)),
-            }
+/// `undeclared-identifier`: identifier uses that resolve to no binding
+/// and no std name. One finding per distinct name (the first site), to
+/// keep a single orphaned variable from flooding the report.
+fn undeclared_identifier(input: &Input<'_>, out: &mut Vec<Finding>) {
+    let mut counts: Vec<(&str, &str, usize)> = Vec::new();
+    for u in &input.resolution.undeclared {
+        match counts.iter_mut().find(|(n, _, _)| *n == u.name) {
+            Some((_, _, c)) => *c += 1,
+            None => counts.push((&u.name, &u.site, 1)),
         }
-        for (name, site, uses) in counts {
-            out.push(Diagnostic {
-                pass: self.name(),
-                severity: self.severity(),
-                site: site.to_string(),
-                message: if uses == 1 {
-                    format!("use of undeclared identifier `{name}`")
-                } else {
-                    format!("use of undeclared identifier `{name}` ({uses} uses)")
-                },
-            });
+    }
+    for (name, site, uses) in counts {
+        let message = if uses == 1 {
+            format!("use of undeclared identifier `{name}`")
+        } else {
+            format!("use of undeclared identifier `{name}` ({uses} uses)")
+        };
+        out.push((site.to_string(), message));
+    }
+}
+
+/// `duplicate-declaration`: two declarations of the same name in the
+/// same scope.
+fn duplicate_declaration(input: &Input<'_>, out: &mut Vec<Finding>) {
+    let bindings = &input.resolution.bindings;
+    for b in bindings {
+        if let Some(first) = b.duplicate_of {
+            out.push((
+                b.site.clone(),
+                format!(
+                    "`{}` redeclared in the same scope (first declared at {})",
+                    b.name, bindings[first].site
+                ),
+            ));
         }
     }
 }
 
-/// Reports two declarations of the same name in the same scope.
-pub struct DuplicateDeclaration;
-
-impl Pass for DuplicateDeclaration {
-    fn name(&self) -> &'static str {
-        "duplicate-declaration"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        for b in &ctx.resolution.bindings {
-            if let Some(first) = b.duplicate_of {
-                let original = &ctx.resolution.bindings[first];
-                out.push(Diagnostic {
-                    pass: self.name(),
-                    severity: self.severity(),
-                    site: b.site.clone(),
-                    message: format!(
-                        "`{}` redeclared in the same scope (first declared at {})",
-                        b.name, original.site
-                    ),
-                });
-            }
+/// `variable-shadowing`: an inner-scope declaration hiding an outer
+/// one.
+fn variable_shadowing(input: &Input<'_>, out: &mut Vec<Finding>) {
+    let bindings = &input.resolution.bindings;
+    for b in bindings {
+        if let Some(outer) = b.shadows {
+            out.push((
+                b.site.clone(),
+                format!(
+                    "`{}` shadows the declaration at {}",
+                    b.name, bindings[outer].site
+                ),
+            ));
         }
     }
 }
 
-/// Reports an inner-scope declaration hiding an outer one.
-pub struct VariableShadowing;
-
-impl Pass for VariableShadowing {
-    fn name(&self) -> &'static str {
-        "variable-shadowing"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        for b in &ctx.resolution.bindings {
-            if let Some(outer) = b.shadows {
-                let hidden = &ctx.resolution.bindings[outer];
-                out.push(Diagnostic {
-                    pass: self.name(),
-                    severity: self.severity(),
-                    site: b.site.clone(),
-                    message: format!("`{}` shadows the declaration at {}", b.name, hidden.site),
-                });
-            }
+/// `unused-variable`: variables (globals, params, locals, loop
+/// variables) that are never mentioned after declaration, and —
+/// reconciled with the liveness-based `dead-store` pass — write-only
+/// variables that are assigned but never read back.
+fn unused_variable(input: &Input<'_>, out: &mut Vec<Finding>) {
+    for b in &input.resolution.bindings {
+        if !b.kind.is_variable() || b.duplicate_of.is_some() {
+            continue;
+        }
+        if b.uses == 0 {
+            out.push((
+                b.site.clone(),
+                format!("variable `{}` is never used", b.name),
+            ));
+        } else if b.reads == 0 {
+            out.push((
+                b.site.clone(),
+                format!("variable `{}` is assigned but never read", b.name),
+            ));
         }
     }
 }
 
-/// Reports variables (globals, params, locals, loop variables) that are
-/// never mentioned after declaration, and — reconciled with the
-/// liveness-based [`DeadStore`] pass — write-only variables that are
-/// assigned but never read back.
-pub struct UnusedVariable;
-
-impl Pass for UnusedVariable {
-    fn name(&self) -> &'static str {
-        "unused-variable"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        for b in &ctx.resolution.bindings {
-            if !b.kind.is_variable() || b.duplicate_of.is_some() {
-                continue;
-            }
-            if b.uses == 0 {
-                out.push(Diagnostic {
-                    pass: self.name(),
-                    severity: self.severity(),
-                    site: b.site.clone(),
-                    message: format!("variable `{}` is never used", b.name),
-                });
-            } else if b.reads == 0 {
-                out.push(Diagnostic {
-                    pass: self.name(),
-                    severity: self.severity(),
-                    site: b.site.clone(),
-                    message: format!("variable `{}` is assigned but never read", b.name),
-                });
-            }
+/// `use-before-init`: reads of variables that are definitely unassigned
+/// — no path from function entry stores a value first. Backed by the
+/// must-variant uninitialized-variable analysis over the per-function
+/// CFGs, so "assigned on one branch only" patterns (which
+/// semantics-preserving transforms rearrange freely) are deliberately
+/// not reported.
+fn read_before_init(input: &Input<'_>, out: &mut Vec<Finding>) {
+    for cfg in input.cfgs() {
+        for (site, name) in use_before_init(cfg) {
+            out.push((
+                site,
+                format!("`{name}` is read before any value is assigned"),
+            ));
         }
     }
 }
 
-/// Reports reads of variables that are definitely unassigned — no path
-/// from function entry stores a value first. Backed by the must-variant
-/// uninitialized-variable analysis over the per-function CFGs, so
-/// "assigned on one branch only" patterns (which semantics-preserving
-/// transforms rearrange freely) are deliberately not reported.
-pub struct UseBeforeInit;
-
-impl Pass for UseBeforeInit {
-    fn name(&self) -> &'static str {
-        "use-before-init"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        for cfg in ctx.cfgs() {
-            for (site, name) in use_before_init(cfg) {
-                out.push(Diagnostic {
-                    pass: self.name(),
-                    severity: self.severity(),
-                    site,
-                    message: format!("`{name}` is read before any value is assigned"),
-                });
-            }
-        }
-    }
-}
-
-/// Reports stores whose value can never be read (liveness-based, over
-/// the per-function CFGs). Only explicit assignments and scalar
+/// `dead-store`: stores whose value can never be read (liveness-based,
+/// over the per-function CFGs). Only explicit assignments and scalar
 /// initializers are eligible; IO-written and address-taken variables
 /// are exempt.
-pub struct DeadStore;
-
-impl Pass for DeadStore {
-    fn name(&self) -> &'static str {
-        "dead-store"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        for cfg in ctx.cfgs() {
-            for (site, name) in dead_stores(cfg) {
-                out.push(Diagnostic {
-                    pass: self.name(),
-                    severity: self.severity(),
-                    site,
-                    message: format!("value assigned to `{name}` is never read"),
-                });
-            }
+fn dead_store(input: &Input<'_>, out: &mut Vec<Finding>) {
+    for cfg in input.cfgs() {
+        for (site, name) in dead_stores(cfg) {
+            out.push((site, format!("value assigned to `{name}` is never read")));
         }
     }
 }
 
-/// Reports statements that follow an unconditional `return`, `break` or
-/// `continue` inside the same block (one diagnostic per block).
-pub struct UnreachableCode;
-
-impl Pass for UnreachableCode {
-    fn name(&self) -> &'static str {
-        "unreachable-code"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        for item in &ctx.unit.items {
-            if let Item::Function(f) = item {
-                let mut path = vec![f.name.clone()];
-                check_block(&f.body, &mut path, self.name(), out);
-            }
-        }
+/// `unreachable-code`: statements that follow an unconditional
+/// `return`, `break` or `continue` inside the same block (one finding
+/// per block).
+fn unreachable_code(input: &Input<'_>, out: &mut Vec<Finding>) {
+    for f in input.unit.functions() {
+        check_block(&f.body, &mut vec![f.name.clone()], out);
     }
 }
 
-fn check_block(
-    block: &Block,
-    path: &mut Vec<String>,
-    pass: &'static str,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_block(block: &Block, path: &mut Vec<String>, out: &mut Vec<Finding>) {
     let mut terminated_at: Option<(usize, &'static str)> = None;
     for (i, stmt) in block.stmts.iter().enumerate() {
         if let Some((t, what)) = terminated_at {
             if !matches!(stmt, Stmt::Comment(_) | Stmt::Empty) {
-                out.push(Diagnostic {
-                    pass,
-                    severity: UnreachableCode.severity(),
-                    site: format!("{}/[{}]", path.join("/"), i),
-                    message: format!("statement is unreachable after the `{what}` at [{t}]"),
-                });
+                out.push((
+                    format!("{}/[{}]", path.join("/"), i),
+                    format!("statement is unreachable after the `{what}` at [{t}]"),
+                ));
                 break;
             }
             continue;
@@ -451,19 +367,19 @@ fn check_block(
                 ..
             } => {
                 path.push("then".into());
-                check_block(then_branch, path, pass, out);
+                check_block(then_branch, path, out);
                 path.pop();
                 if let Some(e) = else_branch {
                     path.push("else".into());
-                    check_block(e, path, pass, out);
+                    check_block(e, path, out);
                     path.pop();
                 }
             }
             Stmt::For { body, .. }
             | Stmt::ForEach { body, .. }
             | Stmt::While { body, .. }
-            | Stmt::DoWhile { body, .. } => check_block(body, path, pass, out),
-            Stmt::Block(b) => check_block(b, path, pass, out),
+            | Stmt::DoWhile { body, .. } => check_block(body, path, out),
+            Stmt::Block(b) => check_block(b, path, out),
             _ => {}
         }
         path.pop();

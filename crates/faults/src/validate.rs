@@ -33,7 +33,7 @@ pub struct ResponseValidator {
 }
 
 impl ResponseValidator {
-    /// A validator with the default analysis pass registry.
+    /// A validator running the built-in analysis passes.
     pub fn new() -> Self {
         ResponseValidator {
             analyzer: Analyzer::new(),

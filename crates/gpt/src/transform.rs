@@ -15,6 +15,17 @@
 //! every expression, every block, and the declaration sites that feed
 //! the type environment. Only `has_direct_continue` recurses on its
 //! own, because it stops at nested loops.
+//!
+//! The rewrites the semantic fingerprint undoes in the same direction
+//! (stream chains, `scanf`/`printf` → stream, declaration splitting,
+//! range-`for` lowering, `for` → `while`, ternary assignment →
+//! `if`/`else`) are the shared ones of [`synthattr_lang::rewrite`], so
+//! the fingerprint's normal form matches them by construction. This
+//! module keeps their RNG gates, the `for` → `while` preconditions
+//! (init and step present, no `continue` bound to the loop), the
+//! lowered loop's index naming, and the directions only the simulator
+//! takes: stream → stdio, merging declarations, `while` → `for`,
+//! `if`/`else` → ternary, and compound assignments both ways.
 
 use crate::error::GptError;
 use crate::pool::YearPool;
@@ -25,6 +36,7 @@ use synthattr_gen::style::AuthorStyle;
 use synthattr_lang::ast::*;
 use synthattr_lang::parse;
 use synthattr_lang::render::{render, RenderStyle};
+use synthattr_lang::rewrite::{self, chain_operands, rebuild_chain};
 use synthattr_lang::visit::{
     declared_names, for_each_block_mut, for_each_decl_site, for_each_expr_mut, rename_idents,
     unrenameable_names, DeclSite,
@@ -764,26 +776,7 @@ fn convert_loops(unit: &mut TranslationUnit, to_while: bool, rng: &mut Pcg64) {
                 if init.is_none() || step.is_none() || !rng.next_bool(0.7) {
                     continue;
                 }
-                let Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                } = std::mem::replace(stmt, Stmt::Empty)
-                else {
-                    unreachable!();
-                };
-                let mut inner = body.stmts;
-                inner.push(Stmt::Expr(step.expect("checked above")));
-                // The init declaration is scoped with a wrapping block
-                // so sibling loops reusing the name stay valid.
-                *stmt = Stmt::Block(Block::new(vec![
-                    *init.expect("checked above"),
-                    Stmt::While {
-                        cond: cond.expect("for cond present"),
-                        body: Block::new(inner),
-                    },
-                ]));
+                rewrite::for_to_while(stmt);
             } else {
                 // while { ...; i++ }  =>  for (; cond; i++) { ... }
                 let Stmt::While { body, .. } = stmt else {
@@ -862,29 +855,7 @@ fn convert_conditionals(unit: &mut TranslationUnit, to_ternary: bool) {
                     rhs: Box::new(ternary),
                 });
             } else {
-                let Stmt::Expr(Expr::Assign { op, lhs, rhs }) = stmt else {
-                    continue;
-                };
-                let Expr::Ternary {
-                    cond,
-                    then_expr,
-                    else_expr,
-                } = rhs.as_ref()
-                else {
-                    continue;
-                };
-                let mk = |value: &Expr| {
-                    Block::new(vec![Stmt::Expr(Expr::Assign {
-                        op: *op,
-                        lhs: lhs.clone(),
-                        rhs: Box::new(value.clone()),
-                    })])
-                };
-                *stmt = Stmt::If {
-                    cond: cond.unparenthesized().clone(),
-                    then_branch: mk(then_expr),
-                    else_branch: Some(mk(else_expr)),
-                };
+                rewrite::ternary_assign_to_if(stmt);
             }
         }
     });
@@ -917,91 +888,32 @@ fn restyle_declarations(unit: &mut TranslationUnit, merge: bool) {
             }
             block.stmts = out;
         } else {
-            let mut out: Vec<Stmt> = Vec::with_capacity(block.stmts.len());
-            for stmt in block.stmts.drain(..) {
-                if let Stmt::Decl(d) = &stmt {
-                    if d.declarators.len() > 1 {
-                        for dd in &d.declarators {
-                            out.push(Stmt::Decl(Declaration {
-                                ty: d.ty.clone(),
-                                declarators: vec![dd.clone()],
-                            }));
-                        }
-                        continue;
-                    }
-                }
-                out.push(stmt);
-            }
-            block.stmts = out;
+            rewrite::split_declarations(block);
         }
     });
 }
 
 /// Lowers read-only range-`for` loops over a named container into
 /// indexed `for` loops (`for (char c : s)` → `for (int i = 0; ...)`),
-/// one of the structural rewrites real LLM restyling performs.
-/// By-reference loops are left alone (the loop variable would lose its
-/// aliasing).
+/// one of the structural rewrites real LLM restyling performs; each
+/// qualifying loop is lowered with probability 0.8.
 fn lower_foreach(unit: &mut TranslationUnit, rng: &mut Pcg64) {
     let taken = declared_names(unit);
     let mut counter = 0usize;
     for_each_block_mut(unit, &mut |block| {
         for stmt in &mut block.stmts {
-            let Stmt::ForEach {
-                by_ref: false,
-                iterable: Expr::Ident(_),
-                ..
-            } = stmt
-            else {
-                continue;
-            };
-            if !rng.next_bool(0.8) {
-                continue;
-            }
-            let Stmt::ForEach {
-                ty,
-                name,
-                iterable: Expr::Ident(container),
-                body,
-                ..
-            } = std::mem::replace(stmt, Stmt::Empty)
-            else {
-                unreachable!();
-            };
-            // A fresh index name that collides with nothing.
-            let mut idx = "i".to_string();
-            while taken.contains(&idx) || idx == name {
-                counter += 1;
-                idx = format!("i{counter}");
-            }
-            let elem_ty = match ty {
-                Type::Auto => Type::Int,
-                other => other,
-            };
-            let mut inner = vec![Stmt::Decl(Declaration {
-                ty: elem_ty,
-                declarators: vec![Declarator::init(
-                    name,
-                    Expr::index(Expr::ident(container.clone()), Expr::ident(idx.clone())),
-                )],
-            })];
-            inner.extend(body.stmts);
-            let bound = Expr::Cast {
-                ty: Type::Int,
-                expr: Box::new(Expr::method(Expr::ident(container), "size", vec![])),
-            };
-            *stmt = Stmt::For {
-                init: Some(Box::new(Stmt::Decl(Declaration {
-                    ty: Type::Int,
-                    declarators: vec![Declarator::init(idx.clone(), Expr::Int(0))],
-                }))),
-                cond: Some(Expr::bin(BinaryOp::Lt, Expr::ident(idx.clone()), bound)),
-                step: Some(Expr::Unary {
-                    op: UnaryOp::PostInc,
-                    expr: Box::new(Expr::ident(idx)),
-                }),
-                body: Block::new(inner),
-            };
+            rewrite::lower_foreach(stmt, |name| {
+                if !rng.next_bool(0.8) {
+                    return None;
+                }
+                // A fresh index name that collides with nothing.
+                let mut idx = "i".to_string();
+                while taken.contains(&idx) || idx == name {
+                    counter += 1;
+                    idx = format!("i{counter}");
+                }
+                Some(idx)
+            });
         }
     });
 }
@@ -1094,33 +1006,6 @@ fn restyle_comments(unit: &mut TranslationUnit, target: &AuthorStyle, rng: &mut 
 // IO idiom conversion
 // ---------------------------------------------------------------------------
 
-/// Collects the operands of a left-nested `<<`/`>>` chain rooted at
-/// `root_name`, in source order. Returns `None` when the expression is
-/// not such a chain.
-fn chain_operands(e: &Expr, op: BinaryOp, root_name: &str) -> Option<Vec<Expr>> {
-    match e {
-        Expr::Binary {
-            op: actual,
-            lhs,
-            rhs,
-        } if *actual == op => {
-            let mut left = chain_operands(lhs, op, root_name)?;
-            left.push((**rhs).clone());
-            Some(left)
-        }
-        Expr::Ident(name) if name == root_name => Some(Vec::new()),
-        _ => None,
-    }
-}
-
-fn rebuild_chain(root: &str, op: BinaryOp, operands: Vec<Expr>) -> Expr {
-    let mut e = Expr::ident(root);
-    for operand in operands {
-        e = Expr::bin(op, e, operand);
-    }
-    e
-}
-
 fn spec_for(ty: Ty) -> &'static str {
     match ty {
         Ty::Int => "%d",
@@ -1204,98 +1089,9 @@ fn scan_spec_for(ty: Ty) -> &'static str {
 fn stdio_to_stream(unit: &mut TranslationUnit, want_endl: bool) {
     for_each_block_mut(unit, &mut |block| {
         for stmt in &mut block.stmts {
-            let Stmt::Expr(e) = stmt else { continue };
-            let Expr::Call { callee, args } = e else {
-                continue;
-            };
-            let Expr::Ident(name) = callee.unparenthesized() else {
-                continue;
-            };
-            if name == "scanf" && args.len() >= 2 {
-                let operands: Vec<Expr> = args[1..]
-                    .iter()
-                    .map(|a| match a {
-                        Expr::Unary {
-                            op: UnaryOp::AddrOf,
-                            expr,
-                        } => (**expr).clone(),
-                        other => other.clone(),
-                    })
-                    .collect();
-                *e = rebuild_chain("cin", BinaryOp::Shr, operands);
-            } else if name == "printf" && !args.is_empty() {
-                let Expr::Str(fmt) = &args[0] else { continue };
-                let Some(operands) = printf_to_operands(fmt, &args[1..], want_endl) else {
-                    continue;
-                };
-                *e = rebuild_chain("cout", BinaryOp::Shl, operands);
-            }
+            rewrite::stdio_to_stream(stmt, want_endl);
         }
     });
-}
-
-/// Splits a printf format string into cout operands, consuming `args`
-/// for each `%` spec. Returns `None` for unsupported formats.
-fn printf_to_operands(fmt: &str, args: &[Expr], want_endl: bool) -> Option<Vec<Expr>> {
-    let mut operands = Vec::new();
-    let mut text = String::new();
-    let mut arg_iter = args.iter();
-    let bytes: Vec<char> = fmt.chars().collect();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == '%' {
-            if i + 1 < bytes.len() && bytes[i + 1] == '%' {
-                text.push('%');
-                i += 2;
-                continue;
-            }
-            // Consume the spec: flags/width/precision then a letter.
-            let mut j = i + 1;
-            while j < bytes.len() && !bytes[j].is_ascii_alphabetic() {
-                j += 1;
-            }
-            // Length modifiers (l, ll) then the conversion letter.
-            while j < bytes.len() && bytes[j] == 'l' {
-                j += 1;
-            }
-            if j >= bytes.len() {
-                return None;
-            }
-            let conv = bytes[j];
-            if !matches!(conv, 'd' | 'f' | 's' | 'c' | 'u') {
-                return None;
-            }
-            if !text.is_empty() {
-                operands.push(Expr::Str(std::mem::take(&mut text)));
-            }
-            let arg = arg_iter.next()?.clone();
-            // `x.c_str()` goes back to plain `x` for cout.
-            let arg = match &arg {
-                Expr::Call { callee, args } if args.is_empty() => match callee.as_ref() {
-                    Expr::Member { base, member, .. } if member == "c_str" => (**base).clone(),
-                    _ => arg.clone(),
-                },
-                _ => arg,
-            };
-            operands.push(arg);
-            i = j + 1;
-        } else {
-            text.push(bytes[i]);
-            i += 1;
-        }
-    }
-    if !text.is_empty() {
-        if text.ends_with('\n') && want_endl {
-            text.pop();
-            if !text.is_empty() {
-                operands.push(Expr::Str(text));
-            }
-            operands.push(Expr::ident("endl"));
-        } else {
-            operands.push(Expr::Str(text));
-        }
-    }
-    Some(operands)
 }
 
 // ---------------------------------------------------------------------------

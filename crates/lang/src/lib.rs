@@ -21,7 +21,11 @@
 //!   Caliskan-Islam-style feature set;
 //! * [`visit`] — AST traversal: each node's children listed once, the
 //!   walkers built on them (used by the transformer and the semantic
-//!   fingerprint), and the node-kind visitor used by metrics.
+//!   fingerprint), and the node-kind visitor used by metrics;
+//! * [`rewrite`] — the statement rewrites the transformer and the
+//!   semantic fingerprint share (stream chains, `scanf`/`printf` →
+//!   stream, declaration splitting, range-`for` lowering, `for` →
+//!   `while`, ternary assignment → `if`/`else`), each defined once.
 //!
 //! # Example
 //!
@@ -47,6 +51,7 @@ pub mod lexer;
 pub mod metrics;
 pub mod parser;
 pub mod render;
+pub mod rewrite;
 pub mod token;
 pub mod visit;
 

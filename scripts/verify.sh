@@ -32,6 +32,9 @@
 #                                     #   split-search equivalence
 #                                     #   property at 200,000 cases
 #                                     #   each in a release build
+#                                     #   + the transform fingerprint
+#                                     #   property at 50,000 cases
+#                                     #   in a release build
 #                                     #   + paper-scale `repro all`
 #                                     #   against repro_output.txt
 #   SYNTHATTR_WORKERS=1 scripts/verify.sh   # serial, for timing noise
@@ -76,11 +79,17 @@
 # in release at 200,000 cases instead of the tier-1 4,096, and the
 # split-search equivalence property (the rank-encoded split search
 # against the naive reference splitter, DESIGN.md §7) in release at
-# 200,000 cases instead of the tier-1 256. Last, it runs the
-# paper-scale `target/release/repro all` (about 1 m 10 s on 2 vCPU)
-# and compares its stdout with repro_output.txt byte for byte,
-# printing the first differing lines on a mismatch: the whole-output
-# check that a change meant to keep every table unchanged needs.
+# 200,000 cases instead of the tier-1 256. Next comes the transform
+# property transforms_are_analyzer_clean_and_fingerprint_stable (every
+# simulator output keeps its seed's semantic fingerprint, DESIGN.md
+# §8.3) in release at 50,000 cases instead of the tier-1 48, about
+# 20 s: a release build compiles out the transformer's own debug
+# semantics gate, so this is the one release-mode check of that
+# invariant. Last, it runs the paper-scale `target/release/repro all`
+# (about 1 m 10 s on 2 vCPU) and compares its stdout with
+# repro_output.txt byte for byte, printing the first differing lines
+# on a mismatch: the whole-output check that a change meant to keep
+# every table unchanged needs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -162,6 +171,9 @@ if [[ "$STRICT" == "1" ]]; then
   echo "== strict: split-search equivalence, 200000 cases (release) ==" >&2
   SYNTHATTR_PROP_CASES=200000 cargo test --release --offline -p synthattr-ml --lib \
     optimized_split_matches_reference
+  echo "== strict: transform fingerprint invariant, 50000 cases (release) ==" >&2
+  SYNTHATTR_PROP_CASES=50000 cargo test --release --offline --test transform_properties \
+    transforms_are_analyzer_clean_and_fingerprint_stable
   echo "== strict: paper-scale repro all vs repro_output.txt ==" >&2
   fresh="$(mktemp)"
   trap 'rm -f "$fresh"' EXIT

@@ -265,6 +265,43 @@ fn transforms_are_analyzer_clean_and_fingerprint_stable() {
         );
 }
 
+/// Programs whose `for` header meets a rewrite that the fingerprint
+/// undoes: a zero-parameter helper called once from the init, the
+/// condition or the step (helper inlining), and a multi-declarator
+/// init (declaration splitting). Each keeps its fingerprint through
+/// 400 seeded transforms, whichever of them convert the loop to its
+/// `while` form.
+#[test]
+fn for_header_programs_keep_their_fingerprint() {
+    let helper =
+        "#include <iostream>\nusing namespace std;\nint solve() { int n; cin >> n; return n; }\n";
+    let programs = [
+        "for (int r = solve(); r > 0; r--) { s += r; }",
+        "for (int i = 0; i < solve(); i++) { s += i; }",
+        "for (int i = 0; i < 9; i += solve()) { s += i; }",
+    ]
+    .map(|lp| format!("{helper}int main() {{ int s = 0; {lp} cout << s << endl; return 0; }}"))
+    .into_iter()
+    .chain([
+        "#include <iostream>\nusing namespace std;\nint main() { int n; cin >> n; int s = 0; for (int i = 0, j = n; i < j; i++) { s += j - i; } cout << s << endl; return 0; }".to_string(),
+    ]);
+    let pool = YearPool::calibrated(2018, 3);
+    let gpt = Transformer::new(&pool);
+    for src in programs {
+        let fp = fingerprint_source(&src).expect("program parses");
+        for seed in 0..400 {
+            let mut rng = Pcg64::new(seed);
+            let idx = pool.sample_index(&mut rng);
+            let out = gpt.transform(&src, idx, &mut rng).expect("transforms");
+            assert_eq!(
+                fingerprint_source(&out).expect("output parses"),
+                fp,
+                "seed {seed}\n--- program ---\n{src}\n--- out ---\n{out}"
+            );
+        }
+    }
+}
+
 /// The acceptance invariant in its strongest form: for every pool
 /// seed (each challenge, rendered in a pool style), both the NCT fan
 /// and a full 50-step CT chain stay analyzer-clean and keep the
