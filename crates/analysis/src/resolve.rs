@@ -93,9 +93,11 @@ pub struct Resolution {
 }
 
 /// Standard-library names treated as declared when the unit includes
-/// headers or opens `namespace std`. The set mirrors (and extends) the
-/// transformer's reserved-name list so that nothing the generator or
-/// the style simulator emits can be reported as undeclared.
+/// headers or opens `namespace std`. The set holds the library names of
+/// [`synthattr_lang::token::is_reserved_name`] (all but `main` and
+/// `ll`, which a program declares itself) and extends them, so that
+/// nothing the generator or the style simulator emits can be reported
+/// as undeclared.
 pub const STD_NAMES: &[&str] = &[
     "cin",
     "cout",

@@ -6,6 +6,7 @@
 //! file, without colliding with names already handed out.
 
 use std::collections::HashMap;
+use synthattr_lang::token::is_reserved_name;
 use synthattr_util::Pcg64;
 
 /// Identifier casing convention.
@@ -387,7 +388,7 @@ impl Namer {
             }
         };
         // Keyword and collision avoidance.
-        if is_reserved(&candidate) {
+        if is_reserved_name(&candidate) {
             candidate.push('v');
         }
         while self.used.iter().any(|u| u == &candidate) {
@@ -400,56 +401,6 @@ impl Namer {
         self.assigned.insert(concept.to_string(), candidate.clone());
         candidate
     }
-}
-
-fn is_reserved(name: &str) -> bool {
-    matches!(
-        name,
-        "int"
-            | "long"
-            | "char"
-            | "bool"
-            | "float"
-            | "double"
-            | "void"
-            | "auto"
-            | "const"
-            | "if"
-            | "else"
-            | "for"
-            | "while"
-            | "do"
-            | "return"
-            | "break"
-            | "continue"
-            | "true"
-            | "false"
-            | "using"
-            | "namespace"
-            | "typedef"
-            | "struct"
-            | "switch"
-            | "case"
-            | "default"
-            | "string"
-            | "vector"
-            | "pair"
-            | "map"
-            | "set"
-            | "cin"
-            | "cout"
-            | "cerr"
-            | "endl"
-            | "std"
-            | "main"
-            | "max"
-            | "min"
-            | "abs"
-            | "sort"
-            | "swap"
-            | "printf"
-            | "scanf"
-    )
 }
 
 #[cfg(test)]
@@ -548,7 +499,7 @@ mod tests {
                 for verb in [Verbosity::Short, Verbosity::Medium, Verbosity::Long] {
                     let mut n = namer(case, verb, seed);
                     for concept in ["num_cases", "count", "text", "best", "time_val"] {
-                        assert!(!is_reserved(&n.name(concept)));
+                        assert!(!is_reserved_name(&n.name(concept)));
                     }
                 }
             }

@@ -37,6 +37,7 @@ use synthattr_lang::ast::*;
 use synthattr_lang::parse;
 use synthattr_lang::render::{render, RenderStyle};
 use synthattr_lang::rewrite::{self, chain_operands, rebuild_chain};
+use synthattr_lang::token::is_reserved_name;
 use synthattr_lang::visit::{
     declared_names, for_each_block_mut, for_each_decl_site, for_each_expr_mut, rename_idents,
     unrenameable_names, DeclSite,
@@ -532,69 +533,6 @@ fn rename_all(unit: &mut TranslationUnit, naming: NamingStyle, vocab: &StyleVoca
     rename_idents(unit, &mapping);
 }
 
-fn is_reserved_name(name: &str) -> bool {
-    matches!(
-        name,
-        "int"
-            | "long"
-            | "char"
-            | "bool"
-            | "float"
-            | "double"
-            | "void"
-            | "auto"
-            | "const"
-            | "if"
-            | "else"
-            | "for"
-            | "while"
-            | "do"
-            | "return"
-            | "break"
-            | "continue"
-            | "true"
-            | "false"
-            | "string"
-            | "vector"
-            | "pair"
-            | "map"
-            | "set"
-            | "cin"
-            | "cout"
-            | "endl"
-            | "std"
-            | "main"
-            | "max"
-            | "min"
-            | "abs"
-            | "sort"
-            | "swap"
-            | "printf"
-            | "scanf"
-            | "ll"
-            | "case"
-            | "switch"
-            | "default"
-            | "struct"
-            | "typedef"
-            | "using"
-            | "namespace"
-            | "unsigned"
-            | "signed"
-            | "short"
-            | "sizeof"
-            | "static_cast"
-            | "cerr"
-            | "getline"
-            | "to_string"
-            | "puts"
-            | "sqrt"
-            | "pow"
-            | "floor"
-            | "ceil"
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Micro-style rewrites
 // ---------------------------------------------------------------------------
@@ -898,7 +836,7 @@ fn restyle_declarations(unit: &mut TranslationUnit, merge: bool) {
 /// one of the structural rewrites real LLM restyling performs; each
 /// qualifying loop is lowered with probability 0.8.
 fn lower_foreach(unit: &mut TranslationUnit, rng: &mut Pcg64) {
-    let taken = declared_names(unit);
+    let mut taken = declared_names(unit);
     let mut counter = 0usize;
     for_each_block_mut(unit, &mut |block| {
         for stmt in &mut block.stmts {
@@ -906,12 +844,14 @@ fn lower_foreach(unit: &mut TranslationUnit, rng: &mut Pcg64) {
                 if !rng.next_bool(0.8) {
                     return None;
                 }
-                // A fresh index name that collides with nothing.
+                // A fresh index name that collides with nothing,
+                // including the indices of loops lowered before it.
                 let mut idx = "i".to_string();
                 while taken.contains(&idx) || idx == name {
                     counter += 1;
                     idx = format!("i{counter}");
                 }
+                taken.push(idx.clone());
                 Some(idx)
             });
         }

@@ -6,7 +6,8 @@
 //! substrate:
 //!
 //! * [`lexer`] + [`token`] — a hand-written lexer that preserves
-//!   comments and enough trivia for layout analysis;
+//!   comments and enough trivia for layout analysis, and the names a
+//!   generated identifier must avoid ([`token::is_reserved_name`]);
 //! * [`parser`] + [`ast`] — a recursive-descent parser producing a
 //!   typed AST covering the competitive-programming subset of C++
 //!   (functions, declarations, control flow, stream IO, templates over

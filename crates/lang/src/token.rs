@@ -250,6 +250,43 @@ pub enum TokenKind {
     Eof,
 }
 
+/// Whether a generated identifier must avoid `name`: a keyword of the
+/// subset, or a library name the subset's programs use (`cin`, `sqrt`,
+/// the `ll` alias, `main`, ...). The corpus generator's namer and the
+/// style simulator's renamer share this one list.
+pub fn is_reserved_name(name: &str) -> bool {
+    TokenKind::keyword(name).is_some()
+        || matches!(
+            name,
+            "string"
+                | "vector"
+                | "pair"
+                | "map"
+                | "set"
+                | "cin"
+                | "cout"
+                | "cerr"
+                | "endl"
+                | "std"
+                | "main"
+                | "ll"
+                | "max"
+                | "min"
+                | "abs"
+                | "sort"
+                | "swap"
+                | "printf"
+                | "scanf"
+                | "puts"
+                | "getline"
+                | "to_string"
+                | "sqrt"
+                | "pow"
+                | "floor"
+                | "ceil"
+        )
+}
+
 impl TokenKind {
     /// Returns the keyword kind for `word`, if it is a keyword of the
     /// supported subset.
@@ -440,6 +477,16 @@ mod tests {
         );
         assert_eq!(TokenKind::keyword("vector"), None);
         assert_eq!(TokenKind::keyword(""), None);
+    }
+
+    #[test]
+    fn reserved_names_are_keywords_and_library_names() {
+        for name in ["int", "sizeof", "vector", "ll", "main", "sqrt"] {
+            assert!(is_reserved_name(name), "{name}");
+        }
+        for name in ["total", "i", "solve", "lld", ""] {
+            assert!(!is_reserved_name(name), "{name}");
+        }
     }
 
     #[test]

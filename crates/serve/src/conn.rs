@@ -317,8 +317,9 @@ impl ConnGauge {
     }
 }
 
-/// Shared connection gauges and close-cause counters (relaxed
-/// atomics; observability plus the drain report).
+/// Shared connection gauges and close-cause counters: relaxed atomics
+/// for observability, except `open`, which is sequentially consistent
+/// because the draining reactor returns once it reads 0.
 #[derive(Debug, Default)]
 pub struct ConnCounters {
     /// Connections accepted over the server's lifetime.
@@ -341,7 +342,7 @@ impl ConnCounters {
     /// A connection was accepted.
     pub fn on_accept(&self) {
         self.opened.fetch_add(1, Ordering::Relaxed);
-        self.open.fetch_add(1, Ordering::Relaxed);
+        self.open.fetch_add(1, Ordering::SeqCst);
     }
 
     /// A connection was parked on the queue.
@@ -356,7 +357,7 @@ impl ConnCounters {
 
     /// A connection was closed, for `cause`.
     pub fn on_close(&self, cause: CloseCause) {
-        self.open.fetch_sub(1, Ordering::Relaxed);
+        self.open.fetch_sub(1, Ordering::SeqCst);
         self.closes[Self::slot(cause)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -367,7 +368,7 @@ impl ConnCounters {
 
     /// Currently open connections.
     pub fn open_now(&self) -> u64 {
-        self.open.load(Ordering::Relaxed)
+        self.open.load(Ordering::SeqCst)
     }
 
     /// Currently parked connections.

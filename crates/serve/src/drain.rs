@@ -9,13 +9,20 @@
 //!
 //! 1. `begin` flips the flag; `/healthz` starts reporting
 //!    `"drain_state":"draining"`.
-//! 2. The reactor wakes, stops accepting, hands every parked
-//!    connection to the workers and closes the work queue.
-//! 3. Workers finish in-flight requests: every complete buffered
-//!    request on every remaining connection is answered, the final
-//!    response per connection carries `Connection: close`.
-//! 4. Past `begin + force_deadline_ms`, stragglers are force-closed
-//!    so shutdown always terminates.
+//! 2. The reactor wakes and stops accepting, but keeps polling. On
+//!    every pass it hands each idle parked connection to a worker,
+//!    which retires it. A connection mid-request or mid-flush stays
+//!    parked under its own budget deadlines, with the wait capped at
+//!    [`DrainState::deadline_remaining_ms`].
+//! 3. Workers serve through the ordinary loop: a response with no
+//!    next request started behind it carries `Connection: close` and
+//!    ends its connection, and a connection found idle is retired.
+//!    Header, body and write deadlines still cut hostile connections.
+//!    Each close wakes the reactor, which returns once no connection
+//!    is open.
+//! 4. Past `begin + force_deadline_ms`, the reactor force-closes the
+//!    connections it holds and any that workers hand back, so
+//!    shutdown always terminates.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -77,8 +84,8 @@ impl DrainState {
             && now_ms.saturating_sub(self.began_ms.load(Ordering::SeqCst)) >= self.force_deadline_ms
     }
 
-    /// Milliseconds left until the hard deadline (0 once passed): how
-    /// long the drain may wait on one socket.
+    /// Milliseconds left until the hard deadline (0 once passed): the
+    /// longest the draining reactor waits.
     pub fn deadline_remaining_ms(&self, now_ms: u64) -> u64 {
         if !self.is_draining() {
             return self.force_deadline_ms;

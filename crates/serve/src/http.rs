@@ -429,13 +429,31 @@ impl Response {
         }
     }
 
+    /// A JSON error response: `{"error":message}`.
+    pub fn error(status: u16, message: &str) -> Self {
+        Response::json(
+            status,
+            format!("{{\"error\":{}}}", crate::json::string(message)),
+        )
+    }
+
+    /// A JSON error response with a detail:
+    /// `{"error":message,"detail":detail}`.
+    pub fn error_with_detail(status: u16, message: &str, detail: &str) -> Self {
+        Response::json(
+            status,
+            format!(
+                "{{\"error\":{},\"detail\":{}}}",
+                crate::json::string(message),
+                crate::json::string(detail)
+            ),
+        )
+    }
+
     /// The error response for a failed request read (connection always
     /// closes afterwards: framing state is unrecoverable).
     pub fn from_error(err: &HttpError) -> Self {
-        let mut r = Response::json(
-            err.status(),
-            format!("{{\"error\":{}}}", crate::json::string(err.reason())),
-        );
+        let mut r = Response::error(err.status(), err.reason());
         r.close = true;
         r
     }
@@ -749,5 +767,17 @@ mod tests {
         assert_eq!(r.status, 408);
         assert!(r.close);
         assert!(String::from_utf8(r.body).unwrap().contains("timed out"));
+    }
+
+    #[test]
+    fn error_bodies_are_escaped_json_objects() {
+        let r = Response::error(404, "not found");
+        assert_eq!((r.status, r.close), (404, false));
+        assert_eq!(r.body, b"{\"error\":\"not found\"}");
+        let d = Response::error_with_detail(422, "rejected", "line 1: \"x\"");
+        assert_eq!(
+            String::from_utf8(d.body).unwrap(),
+            r#"{"error":"rejected","detail":"line 1: \"x\""}"#
+        );
     }
 }

@@ -41,10 +41,12 @@
 //!   or a budget deadline is due, then hands the connection to a
 //!   worker; workers hand back connections that yield no bytes instead
 //!   of camping on them, so hostile connections hold sockets, never
-//!   threads, and nothing sleeps on a timer; serving and draining take
-//!   requests off a connection through one intake; a
-//!   [`synthattr_faults::CircuitBreaker`] guards the transform engine
-//!   and surfaces on `/healthz` as `ok`/`degraded`/`draining`.
+//!   threads, and nothing sleeps on a timer; the graceful drain runs
+//!   through the same reactor and the same per-connection loop, so
+//!   budgets keep cutting hostile connections while in-flight requests
+//!   finish; a [`synthattr_faults::CircuitBreaker`] guards the
+//!   transform engine and surfaces on `/healthz` as
+//!   `ok`/`degraded`/`draining`.
 //! * [`client`] — the minimal blocking client the e2e tests and
 //!   `e2ebench` drive the server with (read timeout configurable,
 //!   defaulting to the server's advertised deadline-derived value).
@@ -57,7 +59,8 @@
 //! The survivability claims get their own live-TCP proof in
 //! `tests/serve_chaos.rs` (hostile traffic from
 //! `synthattr_faults::TrafficProfile`) and `tests/serve_drain.rs`
-//! (shutdown racing pipelined bursts drops zero responses).
+//! (shutdown racing pipelined bursts drops zero responses, and
+//! slow-loris connections cannot hold the drain).
 
 #![deny(unsafe_code)]
 

@@ -1,10 +1,10 @@
 //! Readiness waits: one `poll(2)` over a handful of sockets.
 //!
-//! The server's reactor blocks here instead of sleeping, and so does
-//! the drain while it finishes an in-flight request. `poll` is declared
-//! directly: std already links the C library, so no crate is added
-//! (DESIGN.md "Hermetic zero-dependency policy"). [`wait`] is the one
-//! safe wrapper around the workspace's only `unsafe` block.
+//! The server's reactor blocks here instead of sleeping, during the
+//! graceful drain too; no worker ever waits on a socket. `poll` is
+//! declared directly: std already links the C library, so no crate is
+//! added (DESIGN.md "Hermetic zero-dependency policy"). [`wait`] is the
+//! one safe wrapper around the workspace's only `unsafe` block.
 
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};

@@ -11,17 +11,19 @@
 //! whatever the connection has to offer, serves every complete
 //! pipelined request, and *hands the connection back* the moment it
 //! stops yielding bytes — so a slow-loris army holds open sockets,
-//! never worker threads, and an idle worker sleeps in `pop`, not on a
-//! timer. Each request is parsed once, off the connection's buffer, by
-//! [`crate::http::parse_request`], through one intake both the serving
-//! loop and the drain use. Budgets ([`crate::conn::ConnPolicy`]:
+//! never worker threads, no worker ever blocks on a socket, and an
+//! idle worker sleeps in `pop`, not on a timer. Each request is parsed
+//! once, off the connection's buffer, by
+//! [`crate::http::parse_request`]. Budgets ([`crate::conn::ConnPolicy`]:
 //! lifetime idle budget, header/body progress deadlines, max requests
 //! per connection) are enforced by the clock-explicit
-//! [`crate::conn::ConnGauge`] core; shutdown is a
-//! graceful drain ([`crate::drain`]): stop accepting, answer every
-//! in-flight request with `Connection: close` on the final response,
-//! force-close stragglers only at a hard deadline, and report
-//! [`DrainStats`] from [`RunningServer::shutdown`].
+//! [`crate::conn::ConnGauge`] core. Shutdown is a graceful drain
+//! ([`crate::drain`]) through the same reactor and the same `drive`:
+//! the reactor stops accepting but keeps polling, a response with no
+//! next request started behind it carries `Connection: close` and ends
+//! its connection, idle connections are retired, budgets keep cutting
+//! hostile ones, stragglers are force-closed only at a hard deadline,
+//! and [`RunningServer::shutdown`] reports [`DrainStats`].
 //!
 //! All request handling stays pure of the transport
 //! ([`ServerState::handle_request`] maps a parsed request to a
@@ -63,7 +65,7 @@ use synthattr_gpt::transform::Transformer;
 use synthattr_gpt::GptError;
 use synthattr_util::{pool, pool::WorkQueue, Pcg64};
 
-use crate::conn::{CloseCause, ConnCounters, ConnGauge, ConnPolicy, Verdict};
+use crate::conn::{CloseCause, ConnCounters, ConnGauge, ConnPolicy, Phase, Verdict};
 use crate::drain::{DrainState, DrainStats};
 use crate::http::{parse_request, HttpError, Limits, Parsed, Pending, Request, Response};
 use crate::json;
@@ -152,7 +154,8 @@ pub struct ServeStats {
     pub client_errors: AtomicU64,
     /// 5xx responses.
     pub server_errors: AtomicU64,
-    /// Handler panics caught and converted to 500s.
+    /// Handler panics caught; each closes its connection without a
+    /// response (counted as a `hostile_reset` close).
     pub panics: AtomicU64,
 }
 
@@ -258,11 +261,10 @@ impl ServerState {
             ("POST", "/attribute") => self.rate_limited(req, |s, r| s.attribute(r)),
             ("POST", "/transform") => self.rate_limited(req, |s, r| s.transform(r)),
             ("GET", "/healthz") => self.healthz(),
-            (_, "/attribute" | "/transform" | "/healthz") => Response::json(
-                405,
-                format!("{{\"error\":{}}}", json::string("method not allowed")),
-            ),
-            _ => Response::json(404, format!("{{\"error\":{}}}", json::string("not found"))),
+            (_, "/attribute" | "/transform" | "/healthz") => {
+                Response::error(405, "method not allowed")
+            }
+            _ => Response::error(404, "not found"),
         };
         match response.status {
             429 => {
@@ -289,10 +291,7 @@ impl ServerState {
             let client = req.header("x-client-id").unwrap_or("anon");
             let now = self.now_ms();
             if !limiter.lock().expect("limiter poisoned").check(client, now) {
-                return Response::json(
-                    429,
-                    format!("{{\"error\":{}}}", json::string("rate limit exceeded")),
-                );
+                return Response::error(429, "rate limit exceeded");
             }
         }
         handler(self, req)
@@ -300,18 +299,12 @@ impl ServerState {
 
     /// Parses the `year` query parameter and resolves its model.
     fn year_model(&self, req: &Request) -> Result<Arc<crate::registry::YearModel>, Response> {
-        let year_text = req.query_param("year").ok_or_else(|| {
-            Response::json(
-                400,
-                format!("{{\"error\":{}}}", json::string("missing year parameter")),
-            )
-        })?;
-        let year: u32 = year_text.parse().map_err(|_| {
-            Response::json(
-                400,
-                format!("{{\"error\":{}}}", json::string("year must be an integer")),
-            )
-        })?;
+        let year_text = req
+            .query_param("year")
+            .ok_or_else(|| Response::error(400, "missing year parameter"))?;
+        let year: u32 = year_text
+            .parse()
+            .map_err(|_| Response::error(400, "year must be an integer"))?;
         self.registry.get(year).ok_or_else(|| {
             Response::json(
                 404,
@@ -332,18 +325,8 @@ impl ServerState {
         };
         let source = match std::str::from_utf8(&req.body) {
             Ok(s) if !s.trim().is_empty() => s,
-            Ok(_) => {
-                return Response::json(400, format!("{{\"error\":{}}}", json::string("empty body")))
-            }
-            Err(_) => {
-                return Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":{}}}",
-                        json::string("body must be utf-8 source")
-                    ),
-                )
-            }
+            Ok(_) => return Response::error(400, "empty body"),
+            Err(_) => return Response::error(400, "body must be utf-8 source"),
         };
 
         // Shared LRU: identical sources across requests featurize once.
@@ -355,13 +338,10 @@ impl ServerState {
         let proba = match artifact.features(model.model.extractor()) {
             Ok(features) => model.model.forest().predict_proba(features),
             Err(e) => {
-                return Response::json(
+                return Response::error_with_detail(
                     422,
-                    format!(
-                        "{{\"error\":{},\"detail\":{}}}",
-                        json::string("source rejected by the frontend"),
-                        json::string(&e.to_string())
-                    ),
+                    "source rejected by the frontend",
+                    &e.to_string(),
                 )
             }
         };
@@ -379,42 +359,19 @@ impl ServerState {
         let chaining = match mode {
             "nct" => false,
             "ct" => true,
-            _ => {
-                return Response::json(
-                    400,
-                    format!("{{\"error\":{}}}", json::string("mode must be nct or ct")),
-                )
-            }
+            _ => return Response::error(400, "mode must be nct or ct"),
         };
         let steps: usize = match req.query_param("steps").unwrap_or("3").parse() {
             Ok(n) if (1..=MAX_TRANSFORM_STEPS).contains(&n) => n,
-            _ => {
-                return Response::json(
-                    400,
-                    format!("{{\"error\":{}}}", json::string("steps must be in 1..=64")),
-                )
-            }
+            _ => return Response::error(400, "steps must be in 1..=64"),
         };
         let seed: u64 = match req.query_param("seed").unwrap_or("0").parse() {
             Ok(s) => s,
-            Err(_) => {
-                return Response::json(
-                    400,
-                    format!("{{\"error\":{}}}", json::string("seed must be an integer")),
-                )
-            }
+            Err(_) => return Response::error(400, "seed must be an integer"),
         };
         let source = match std::str::from_utf8(&req.body) {
             Ok(s) if !s.trim().is_empty() => s,
-            _ => {
-                return Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":{}}}",
-                        json::string("body must be utf-8 source")
-                    ),
-                )
-            }
+            _ => return Response::error(400, "body must be utf-8 source"),
         };
 
         // The breaker guards the transform engine. Open = shed load
@@ -462,24 +419,12 @@ impl ServerState {
             }
             // A parse rejection is the client's fault, not engine
             // health: it must not feed the breaker.
-            Err(GptError::Parse(e)) => Response::json(
-                422,
-                format!(
-                    "{{\"error\":{},\"detail\":{}}}",
-                    json::string("seed rejected by the frontend"),
-                    json::string(&e.to_string())
-                ),
-            ),
+            Err(GptError::Parse(e)) => {
+                Response::error_with_detail(422, "seed rejected by the frontend", &e.to_string())
+            }
             Err(e) => {
                 self.breaker().record_failure();
-                Response::json(
-                    500,
-                    format!(
-                        "{{\"error\":{},\"detail\":{}}}",
-                        json::string("transform engine failure"),
-                        json::string(&e.to_string())
-                    ),
-                )
+                Response::error_with_detail(500, "transform engine failure", &e.to_string())
             }
         }
     }
@@ -653,10 +598,11 @@ impl Server {
     }
 
     /// Runs the reactor on the calling thread, serving on `workers`
-    /// threads, until [`RunningServer::shutdown`] begins the drain. A
-    /// failed readiness wait begins the drain too, and is returned once
-    /// the workers have finished. Normally reached through
-    /// [`Server::spawn`].
+    /// threads, until the drain [`RunningServer::shutdown`] begins has
+    /// closed every connection. A failed readiness wait begins the
+    /// drain too, force-closes the connections the reactor holds, and
+    /// is returned once the workers have finished. Normally reached
+    /// through [`Server::spawn`].
     ///
     /// # Errors
     ///
@@ -712,10 +658,13 @@ impl RunningServer {
         Arc::clone(&self.state)
     }
 
-    /// Begins the graceful drain, joins the server thread, and
-    /// reports what the drain did: stop accepting, answer every
-    /// in-flight request (`Connection: close` on each connection's
-    /// final response), force-close stragglers only at
+    /// Begins the graceful drain, joins the server thread once no
+    /// connection is open, and reports what the drain did. The reactor
+    /// stops accepting and keeps serving through the ordinary loop:
+    /// each in-flight request is answered, the response with no next
+    /// request started behind it carries `Connection: close`, idle
+    /// connections are retired, budgets keep cutting hostile ones, and
+    /// stragglers are force-closed only at
     /// [`ServeConfig::drain_deadline_ms`].
     pub fn shutdown(self) -> DrainStats {
         let begun = Instant::now();
@@ -762,6 +711,12 @@ impl Conn {
         self.pending.extend_from_slice(&response.to_bytes());
     }
 
+    /// No request started and nothing left to flush: what the drain
+    /// retires.
+    fn is_idle(&self) -> bool {
+        self.gauge.phase() == Phase::Idle && self.pending.is_empty()
+    }
+
     /// What a parked connection waits for: room to write while a
     /// response is pending, request bytes otherwise.
     fn interest(&self) -> PollFd {
@@ -774,7 +729,7 @@ impl Conn {
 }
 
 /// Connections the workers hand back to the reactor; `None` once the
-/// reactor has handed its last connections to the workers.
+/// reactor has stopped.
 #[derive(Debug)]
 struct Inbox(Mutex<Option<Vec<Conn>>>);
 
@@ -820,9 +775,12 @@ impl Inbox {
 /// `poll(2)` over the wake socket, the listener and every parked
 /// socket, until the earliest budget deadline. Ready or due
 /// connections go to the workers; workers hand the others back through
-/// `inbox` and wake it. When the drain begins it hands every parked
-/// connection to the workers and closes the queue. Only the reactor
-/// closes the queue, so its pushes never bounce.
+/// `inbox` and wake it. Once the drain begins it stops accepting but
+/// keeps polling: every pass hands the idle parked connections to the
+/// workers, which retire them, the wait is capped at the drain's hard
+/// deadline, and at that deadline it force-closes what it holds. It
+/// returns once no connection is open, and closes the queue. Only the
+/// reactor closes the queue, so its pushes never bounce.
 fn react(
     state: &ServerState,
     listener: &TcpListener,
@@ -839,19 +797,38 @@ fn react(
     // readable (`EMFILE`, say): polling it again would spin.
     let mut listening = true;
     let result = loop {
-        if state.drain.is_draining() {
-            break Ok(());
-        }
         let now = state.now_ms();
+        let draining = state.drain.is_draining();
+        let mut drain_cap_ms = None;
+        if draining {
+            let forced = state.drain.force_deadline_passed(now);
+            for conn in std::mem::take(&mut parked) {
+                if forced {
+                    force_close(state, conn);
+                } else if conn.is_idle() {
+                    queue.push(conn);
+                } else {
+                    parked.push(conn);
+                }
+            }
+            // Workers wake the reactor each time they close one.
+            if state.conns.open_now() == 0 {
+                break Ok(());
+            }
+            // Past the deadline nothing is parked: wait for the workers.
+            drain_cap_ms = (!forced).then(|| state.drain.deadline_remaining_ms(now));
+        }
         let mut timeout_ms = parked
             .iter()
             .map(|conn| conn.gauge.deadline_ms(policy).saturating_sub(now))
+            .chain(drain_cap_ms)
             .min();
+        let accepting = listening && !draining;
         fds.clear();
         fds.push(PollFd::readable(wake));
-        if listening {
+        if accepting {
             fds.push(PollFd::readable(listener));
-        } else {
+        } else if !listening {
             timeout_ms = Some(timeout_ms.map_or(1, |ms| ms.min(1)));
         }
         let first_parked = fds.len();
@@ -881,19 +858,39 @@ fn react(
         }
         if !listening {
             listening = true;
-        } else if fds[LISTENER].is_ready() {
+        } else if accepting && fds[LISTENER].is_ready() {
             listening = accept_all(state, listener, &mut parked);
         }
     };
-    // Every parked connection, and every one handed back until now,
-    // goes to the workers before the queue closes: popped with the
-    // drain flag up, each is drained. A hand-back after this drains
-    // inline on its worker.
+    // Only a failed wait leaves connections open here: force-close what
+    // the reactor holds, and refuse hand-backs, so that the workers
+    // force-close theirs.
     for conn in parked.into_iter().chain(inbox.close()) {
-        queue.push(conn);
+        force_close(state, conn);
     }
     queue.close();
     result
+}
+
+/// Counts a connection's close. During the drain it also counts toward
+/// [`DrainStats`] and wakes the reactor, which returns once no
+/// connection is open.
+fn retire(state: &ServerState, cause: CloseCause) {
+    state.conns.on_close(cause);
+    if state.drain.is_draining() {
+        state.drain.note_drained();
+        if cause == CloseCause::Forced {
+            state.drain.note_forced();
+        }
+        state.wake();
+    }
+}
+
+/// Force-closes a connection the reactor holds.
+fn force_close(state: &ServerState, conn: Conn) {
+    drop(conn);
+    state.conns.on_resume();
+    retire(state, CloseCause::Forced);
 }
 
 /// Accepts every pending connection into `parked`. Returns `false`
@@ -999,9 +996,9 @@ fn reject(state: &ServerState, err: &HttpError) -> Response {
     Response::from_error(err)
 }
 
-/// Takes the next request off the front of `conn.buf`: the one intake
-/// of both the serving loop and the drain. After EOF, a request that
-/// started but can never complete is answered as a truncation.
+/// Takes the next request off the front of `conn.buf`. After EOF, a
+/// request that started but can never complete is answered as a
+/// truncation.
 fn take_request(state: &ServerState, conn: &mut Conn) -> Intake {
     let err = match parse_request(&conn.buf, &state.config.limits) {
         Ok(Parsed::Complete(request, len)) => {
@@ -1020,11 +1017,10 @@ fn take_request(state: &ServerState, conn: &mut Conn) -> Intake {
 
 /// Drives one connection for one slice: flush what we owe, serve every
 /// complete buffered request, read until the socket runs dry, then
-/// park or close per the budget gauge. Never blocks.
+/// park or close per the budget gauge. Never blocks. While the server
+/// drains, a response with no next request started behind it ends the
+/// connection, and a connection found idle is retired.
 fn drive(state: &ServerState, conn: &mut Conn) -> Next {
-    if state.drain.is_draining() {
-        return Next::Close(drain_serve(state, conn));
-    }
     let policy = &state.config.conn;
 
     // A previously blocked response write gets first claim on the
@@ -1057,32 +1053,37 @@ fn drive(state: &ServerState, conn: &mut Conn) -> Next {
         // Serve every complete request already buffered (pipelining),
         // up to the fairness cap.
         while conn.close_after_write.is_none() && served_in_slice < MAX_REQUESTS_PER_SLICE {
-            match take_request(state, conn) {
+            let draining = state.drain.is_draining();
+            let response = match take_request(state, conn) {
                 Intake::Request(req) => {
                     let mut response = state.handle_request(&req);
                     let exhausted = conn.gauge.request_served(policy, state.now_ms());
-                    if !req.keep_alive {
-                        response.close = true;
-                        conn.close_after_write
-                            .get_or_insert(CloseCause::ClientClose);
-                    }
-                    if exhausted {
-                        response.close = true;
-                        conn.close_after_write
-                            .get_or_insert(CloseCause::MaxRequests);
-                    }
-                    conn.enqueue(&response);
-                    served_in_slice += 1;
+                    conn.close_after_write = if !req.keep_alive {
+                        Some(CloseCause::ClientClose)
+                    } else if exhausted {
+                        Some(CloseCause::MaxRequests)
+                    } else if draining && conn.buf.is_empty() {
+                        Some(CloseCause::Drain)
+                    } else {
+                        None
+                    };
+                    response.close = conn.close_after_write.is_some();
+                    response
                 }
                 Intake::Reject(response) => {
-                    conn.enqueue(&response);
                     conn.close_after_write = Some(CloseCause::BadRequest);
+                    response
                 }
                 Intake::Pending(pending) => {
                     conn.gauge.observe(pending, state.now_ms());
                     break;
                 }
+            };
+            if draining {
+                state.drain.note_final_responses(1);
             }
+            conn.enqueue(&response);
+            served_in_slice += 1;
         }
 
         // Push out what we owe, without blocking.
@@ -1116,6 +1117,9 @@ fn drive(state: &ServerState, conn: &mut Conn) -> Next {
             Ok(0) => conn.eof = true,
             Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if conn.is_idle() && state.drain.is_draining() {
+                    return Next::Close(CloseCause::Drain);
+                }
                 let now = state.now_ms();
                 let verdict = conn.gauge.stalled(policy, now);
                 if let Verdict::Close(cause) = verdict {
@@ -1134,101 +1138,11 @@ fn drive(state: &ServerState, conn: &mut Conn) -> Next {
     }
 }
 
-/// Waits, at most until the drain's hard deadline, for one socket to
-/// turn ready.
-fn drain_wait(state: &ServerState, fd: PollFd) -> io::Result<usize> {
-    let remaining_ms = state.drain.deadline_remaining_ms(state.now_ms());
-    readiness::wait(&mut [fd], Some(Duration::from_millis(remaining_ms)))
-}
-
-/// Serves a connection during the drain: complete every in-flight
-/// request (waiting, up to the hard deadline, for bytes already on
-/// their way), mark the final response `Connection: close`, flush with
-/// the hard deadline as the bound, and report how the connection ended.
-fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
-    let mut responses: Vec<Response> = Vec::new();
-    let mut hostile = false;
-    let mut forced = false;
-    loop {
-        if state.drain.force_deadline_passed(state.now_ms()) {
-            forced = true;
-            break;
-        }
-        match take_request(state, conn) {
-            Intake::Request(req) => responses.push(state.handle_request(&req)),
-            Intake::Reject(response) => {
-                responses.push(response);
-                break;
-            }
-            Intake::Pending(Pending::Empty) => break,
-            Intake::Pending(Pending::Head | Pending::Body) => {
-                // An in-flight request: wait for the rest of its bytes.
-                // New requests are not waited for — only started ones
-                // are finished.
-                let mut chunk = [0u8; 8192];
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => conn.eof = true,
-                    Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if drain_wait(state, PollFd::readable(&conn.stream)).is_err() {
-                            hostile = true;
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        hostile = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    // The connection's final response announces the close.
-    if let Some(last) = responses.last_mut() {
-        last.close = true;
-    }
-    let answered = responses.len() as u64;
-    for response in &responses {
-        conn.enqueue(response);
-    }
-    // Flush everything owed — pre-drain leftovers included — bounded
-    // by the hard deadline.
-    while !conn.pending.is_empty() && !hostile {
-        if state.drain.force_deadline_passed(state.now_ms()) {
-            forced = true;
-            break;
-        }
-        match flush(conn) {
-            Ok(Flush::Done) => break,
-            Ok(Flush::Progress) => {}
-            Ok(Flush::Blocked) => {
-                if drain_wait(state, PollFd::writable(&conn.stream)).is_err() {
-                    hostile = true;
-                }
-            }
-            Err(_) => {
-                hostile = true;
-                break;
-            }
-        }
-    }
-    state.drain.note_final_responses(answered);
-    state.drain.note_drained();
-    if forced {
-        state.drain.note_forced();
-        CloseCause::Forced
-    } else if hostile {
-        CloseCause::HostileReset
-    } else {
-        CloseCause::Drain
-    }
-}
-
 /// One worker: block in `pop` until the reactor hands over a ready or
 /// due connection (or a slice cut short comes back), drive it for a
 /// slice, then retire it, requeue it, or hand it back to the reactor.
+/// Past the drain's hard deadline, a connection that would go back is
+/// force-closed instead.
 fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>, inbox: &Inbox) {
     while let Some(mut conn) = queue.pop() {
         state.conns.on_resume();
@@ -1242,7 +1156,11 @@ fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>, inbox: &Inbox) {
         };
         let handed = match next {
             Next::Close(cause) => {
-                state.conns.on_close(cause);
+                retire(state, cause);
+                continue;
+            }
+            _ if state.drain.force_deadline_passed(state.now_ms()) => {
+                retire(state, CloseCause::Forced);
                 continue;
             }
             Next::Park => {
@@ -1254,13 +1172,11 @@ fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>, inbox: &Inbox) {
                 queue.offer(conn)
             }
         };
-        if let Err(mut conn) = handed {
-            // The drain stopped the reactor between our drain check and
-            // the hand-back: finish the connection here instead of
-            // slamming it shut.
+        if handed.is_err() {
+            // A failed wait stopped the reactor: nothing will poll this
+            // connection again.
             state.conns.on_resume();
-            let cause = drain_serve(state, &mut conn);
-            state.conns.on_close(cause);
+            retire(state, CloseCause::Forced);
         }
     }
 }

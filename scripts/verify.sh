@@ -27,8 +27,9 @@
 #                                     #   targets + cargo fmt --check
 #                                     #   + rustdoc with -D warnings
 #                                     #   + the serve crate's tests
-#                                     #   in a release build + the
-#                                     #   layout scan fuzz and the
+#                                     #   and the live-socket serve
+#                                     #   suites in a release build
+#                                     #   + the layout scan fuzz and the
 #                                     #   split-search equivalence
 #                                     #   property at 200,000 cases
 #                                     #   each in a release build
@@ -74,12 +75,15 @@
 # build: that crate holds the workspace's one `unsafe` block (the
 # poll(2) call in its readiness module), and a release build tests it
 # as it ships, without the debug assertions and overflow checks of the
-# test profile. Then it runs the layout scan's fuzz property (the
-# single-pass scan against the multi-pass reference, DESIGN.md §12.2)
-# in release at 200,000 cases instead of the tier-1 4,096, and the
-# split-search equivalence property (the rank-encoded split search
-# against the naive reference splitter, DESIGN.md §7) in release at
-# 200,000 cases instead of the tier-1 256. Next comes the transform
+# test profile. The root package's live-socket suites (serve_e2e,
+# serve_chaos, serve_drain) follow in release too: they are what drive
+# the reactor and the graceful drain over real TCP. Then it runs the
+# layout scan's fuzz property (the single-pass scan against the
+# multi-pass reference, DESIGN.md §12.2) in release at 200,000 cases
+# instead of the tier-1 4,096, and the split-search equivalence
+# property (the rank-encoded split search against the naive reference
+# splitter, DESIGN.md §7) in release at 200,000 cases instead of the
+# tier-1 256. Next comes the transform
 # property transforms_are_analyzer_clean_and_fingerprint_stable (every
 # simulator output keeps its seed's semantic fingerprint, DESIGN.md
 # §8.3) in release at 50,000 cases instead of the tier-1 48, about
@@ -165,6 +169,8 @@ if [[ "$STRICT" == "1" ]]; then
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
   echo "== strict: cargo test --release -p synthattr-serve ==" >&2
   cargo test --release --offline -p synthattr-serve
+  echo "== strict: live-socket serve suites (release) ==" >&2
+  cargo test --release --offline --test serve_e2e --test serve_chaos --test serve_drain
   echo "== strict: layout scan fuzz, 200000 cases (release) ==" >&2
   SYNTHATTR_PROP_CASES=200000 cargo test --release --offline -p synthattr-features --lib \
     scan_matches_the_multi_pass_reference

@@ -1,29 +1,38 @@
 //! Graceful drain under fire: `shutdown()` racing pipelined
-//! keep-alive bursts must drop **zero** in-flight responses.
+//! keep-alive bursts must drop **zero** in-flight responses, and
+//! slow-loris connections must not hold the drain.
 //!
-//! The protocol under test (see DESIGN.md §14): `shutdown()` flips the
-//! draining flag, the acceptor stops, the work queue closes, and every
-//! worker answers all complete buffered requests on the connections it
-//! still holds — marking the final response `Connection: close` — then
-//! flushes with a bounded-blocking loop before the hard deadline
-//! force-closes stragglers. A client that managed to get its bytes
-//! onto an accepted connection gets complete answers, ending exactly
-//! on a frame boundary.
+//! The protocol under test (see DESIGN.md §14.3): `shutdown()` flips
+//! the draining flag, and the reactor stops accepting but keeps
+//! polling. On every pass it hands each idle parked connection to a
+//! worker, which retires it; a connection mid-request or mid-flush
+//! stays parked under its own budget deadlines. Workers serve through
+//! the ordinary `drive`: a response with no next request started
+//! behind it carries `Connection: close` and ends its connection. The
+//! reactor returns once no connection is open, and force-closes
+//! stragglers only at the hard deadline. A client that managed to get
+//! its bytes onto an accepted connection gets complete answers, ending
+//! exactly on a frame boundary.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use synthattr::serve::server::{RunningServer, ServeConfig, Server};
 
 const BURST: usize = 24;
 
-fn spawn(workers: usize) -> RunningServer {
+fn config(workers: usize) -> ServeConfig {
     let mut config = ServeConfig::smoke();
     config.years = vec![2018];
     config.workers = Some(workers);
     config.rate = None;
     config.drain_deadline_ms = 10_000;
+    config
+}
+
+fn spawn(config: ServeConfig) -> RunningServer {
     Server::bind("127.0.0.1:0", config)
         .expect("bind")
         .spawn()
@@ -82,7 +91,7 @@ fn parse_responses(mut raw: &[u8]) -> (Vec<u16>, usize) {
 /// pipelined burst lands on an accepted connection, `shutdown()` fires
 /// mid-flight, and the client still collects `BURST` complete 200s.
 fn race_once(workers: usize, stagger: Duration) {
-    let server = spawn(workers);
+    let server = spawn(config(workers));
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(15)))
@@ -149,7 +158,7 @@ fn drain_races_a_pipelined_burst_without_dropping_responses() {
 /// after `shutdown()` returns.
 #[test]
 fn idle_drain_is_clean_and_stops_accepting() {
-    let server = spawn(2);
+    let server = spawn(config(2));
     let addr = server.addr();
     let resp = synthattr::serve::client::request(addr, "GET", "/healthz", &[], b"")
         .expect("pre-drain healthz");
@@ -175,4 +184,77 @@ fn idle_drain_is_clean_and_stops_accepting() {
         }
     };
     assert!(refused, "a drained server must not serve new connections");
+}
+
+/// Opens a connection and sends `head`, then waits until the server
+/// has accepted it (its `opened` counter reaches `opened`).
+fn connect_and_send(server: &RunningServer, head: &[u8], opened: u64) -> TcpStream {
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream.write_all(head).expect("partial head");
+    let state = server.state();
+    while state.conns().opened.load(Ordering::Relaxed) < opened {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    stream
+}
+
+/// A slow-loris connection that reaches a worker first must not cost a
+/// well-behaved client its in-flight request. With as many lorises as
+/// workers parked ahead of it, a request completed 100 ms into the
+/// drain still gets a complete 200 that closes the connection; the
+/// lorises are cut at their header deadline, and the drain ends long
+/// before its hard deadline with nothing force-closed.
+#[test]
+fn lorises_parked_ahead_do_not_cost_an_in_flight_request() {
+    const HEAD: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: synthattr\r\n";
+    for workers in [1usize, 2] {
+        let mut config = config(workers);
+        config.conn.header_deadline_ms = 500;
+        let server = spawn(config);
+        // Each loris sends a head without its final CRLF, then stalls.
+        let lorises: Vec<TcpStream> = (1..=workers as u64)
+            .map(|n| connect_and_send(&server, HEAD, n))
+            .collect();
+        let mut client = connect_and_send(&server, HEAD, workers as u64 + 1);
+        client
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .expect("timeout");
+
+        let state = server.state();
+        let shutdown = std::thread::spawn(move || server.shutdown());
+        while !state.drain().is_draining() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        client.write_all(b"\r\n").expect("rest of the head");
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 4096];
+        let started = Instant::now();
+        while let Ok(n @ 1..) = client.read(&mut buf) {
+            reply.extend_from_slice(&buf[..n]);
+        }
+        let stats = shutdown.join().expect("shutdown");
+        drop(lorises);
+
+        let text = String::from_utf8_lossy(&reply);
+        assert_eq!(
+            parse_responses(&reply),
+            (vec![200], 0),
+            "workers={workers}: read {} bytes in {:?}: {text}",
+            reply.len(),
+            started.elapsed()
+        );
+        assert!(
+            text.contains("\r\nConnection: close\r\n"),
+            "workers={workers}: the final response announces the close: {text}"
+        );
+        assert_eq!(stats.forced_closes, 0, "workers={workers}: {stats:?}");
+        assert!(stats.clean, "workers={workers}: {stats:?}");
+        assert_eq!(stats.final_responses, 1, "workers={workers}: {stats:?}");
+        assert!(
+            stats.drain_ms < 3_000,
+            "workers={workers}: the drain waited for its 10 s hard deadline: {stats:?}"
+        );
+    }
 }

@@ -285,19 +285,50 @@ fn for_header_programs_keep_their_fingerprint() {
     .chain([
         "#include <iostream>\nusing namespace std;\nint main() { int n; cin >> n; int s = 0; for (int i = 0, j = n; i < j; i++) { s += j - i; } cout << s << endl; return 0; }".to_string(),
     ]);
-    let pool = YearPool::calibrated(2018, 3);
-    let gpt = Transformer::new(&pool);
+    assert_fingerprint_holds(programs, &[2018]);
+}
+
+/// Programs that lower more than one range-`for` in one transform:
+/// two sibling loops, and two nested ones. Each lowered loop must get
+/// its own index name, so each keeps its fingerprint through 400
+/// seeded transforms in every year's pool.
+#[test]
+fn range_for_programs_keep_their_fingerprint() {
+    let programs = [
+        "vector<int> a; string s; int t = 0; for (int x : a) { t += x; } for (char c : s) { t += c; }",
+        "vector<int> a; vector<int> b; int t = 0; for (int x : a) { for (int y : b) { t += x * y; } }",
+    ]
+    .map(|body| {
+        format!(
+            "#include <iostream>\n#include <string>\n#include <vector>\nusing namespace std;\n\
+             int main() {{ {body} cout << t << endl; return 0; }}"
+        )
+    });
+    assert_fingerprint_holds(programs, &[2017, 2018, 2019]);
+}
+
+/// Transforms each program with seeds 0–399 in each year's pool and
+/// checks that every output keeps the program's fingerprint.
+fn assert_fingerprint_holds(programs: impl IntoIterator<Item = String>, years: &[u32]) {
+    let pools: Vec<YearPool> = years
+        .iter()
+        .map(|&year| YearPool::calibrated(year, 3))
+        .collect();
     for src in programs {
         let fp = fingerprint_source(&src).expect("program parses");
-        for seed in 0..400 {
-            let mut rng = Pcg64::new(seed);
-            let idx = pool.sample_index(&mut rng);
-            let out = gpt.transform(&src, idx, &mut rng).expect("transforms");
-            assert_eq!(
-                fingerprint_source(&out).expect("output parses"),
-                fp,
-                "seed {seed}\n--- program ---\n{src}\n--- out ---\n{out}"
-            );
+        for pool in &pools {
+            let gpt = Transformer::new(pool);
+            for seed in 0..400 {
+                let mut rng = Pcg64::new(seed);
+                let idx = pool.sample_index(&mut rng);
+                let out = gpt.transform(&src, idx, &mut rng).expect("transforms");
+                assert_eq!(
+                    fingerprint_source(&out).expect("output parses"),
+                    fp,
+                    "{} seed {seed}\n--- program ---\n{src}\n--- out ---\n{out}",
+                    pool.year
+                );
+            }
         }
     }
 }
