@@ -146,13 +146,6 @@ pub fn run_with_selection(
     let mut chatgpt_ok = Vec::new();
     let mut target_ok = Vec::new();
     for (fi, fold) in group_folds(&groups).into_iter().enumerate() {
-        let mut train = ds.subset(&fold.train);
-        // Optional information-gain selection, fitted on the fold's
-        // training split only.
-        let columns = top_k.map(|k| synthattr_ml::select::select_top_k(&train, k));
-        if let Some(cols) = &columns {
-            train = train.project(cols);
-        }
         let mut rng = Pcg64::seed_from(
             p.config.seed,
             &[
@@ -166,7 +159,22 @@ pub fn run_with_selection(
                 &fi.to_string(),
             ],
         );
-        let forest = RandomForest::fit(&train, &p.config.forest(), &mut rng);
+        // Optional information-gain selection, fitted on the fold's
+        // training split only; without it, the forest encodes the
+        // fold's rows of `ds` directly.
+        let (forest, columns) = match top_k {
+            None => (
+                RandomForest::fit_rows(&ds, &fold.train, &p.config.forest(), &mut rng),
+                None,
+            ),
+            Some(k) => {
+                let train = ds.subset(&fold.train);
+                let cols = synthattr_ml::select::select_top_k(&train, k);
+                let train = train.project(&cols);
+                let forest = RandomForest::fit(&train, &p.config.forest(), &mut rng);
+                (forest, Some(cols))
+            }
+        };
         let truth: Vec<usize> = fold.test.iter().map(|&i| ds.label(i)).collect();
         // Bulk prediction through the pool-parallel batch API (order-
         // preserving, so results match the per-row loop exactly).

@@ -107,12 +107,11 @@ pub fn run_individual(p: &YearPipeline) -> BinaryResult {
     let (ds, groups) = binary_dataset(p, p.n_challenges());
     let mut per_challenge = Vec::new();
     for (fi, fold) in group_folds(&groups).into_iter().enumerate() {
-        let train = ds.subset(&fold.train);
         let mut rng = Pcg64::seed_from(
             p.config.seed,
             &["binary", &p.year.to_string(), &fi.to_string()],
         );
-        let forest = RandomForest::fit(&train, &p.config.forest(), &mut rng);
+        let forest = RandomForest::fit_rows(&ds, &fold.train, &p.config.forest(), &mut rng);
         let truth: Vec<usize> = fold.test.iter().map(|&i| ds.label(i)).collect();
         let rows: Vec<&[f64]> = fold.test.iter().map(|&i| ds.row(i)).collect();
         per_challenge.push(accuracy(&forest.predict_batch(&rows), &truth));
@@ -149,12 +148,12 @@ pub fn run_combined(pipelines: &[YearPipeline]) -> CombinedBinaryResult {
     for (fi, fold) in group_folds(&groups).into_iter().enumerate() {
         let yi = fi / challenges;
         let ci = fi % challenges;
-        let train = ds.subset(&fold.train);
         let mut rng = Pcg64::seed_from(
             pipelines[0].config.seed,
             &["binary-combined", &fi.to_string()],
         );
-        let forest = RandomForest::fit(&train, &pipelines[0].config.forest(), &mut rng);
+        let forest =
+            RandomForest::fit_rows(&ds, &fold.train, &pipelines[0].config.forest(), &mut rng);
         let truth: Vec<usize> = fold.test.iter().map(|&i| ds.label(i)).collect();
         let rows: Vec<&[f64]> = fold.test.iter().map(|&i| ds.row(i)).collect();
         cells[ci][yi] = accuracy(&forest.predict_batch(&rows), &truth);

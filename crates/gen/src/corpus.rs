@@ -2,7 +2,8 @@
 
 use crate::challenges::ChallengeId;
 use crate::style::AuthorStyle;
-use synthattr_util::Pcg64;
+use std::ops::Range;
+use synthattr_util::{pool, Pcg64};
 
 /// Where a code sample came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,67 +114,67 @@ impl YearCorpus {
 /// programmers are not perfectly consistent, and the wobble keeps the
 /// attribution task realistically hard (per-challenge-fold oracle
 /// accuracy lands in the paper's 80–90% band instead of saturating).
+///
+/// This is [`stream_year`] with one chunk of every author, so it
+/// generates on the worker pool too.
 pub fn generate_year(spec: &YearSpec, root_seed: u64) -> YearCorpus {
-    let mut samples = Vec::with_capacity(spec.authors * spec.challenges.len());
-    for author in 0..spec.authors {
-        let base_style = AuthorStyle::for_author(root_seed, spec.year, author);
-        for (ci, &challenge) in spec.challenges.iter().enumerate() {
-            samples.push(one_sample(
-                spec,
-                root_seed,
-                &base_style,
-                author,
-                ci,
-                challenge,
-            ));
-        }
-    }
     YearCorpus {
         spec: spec.clone(),
-        samples,
+        samples: stream_year(spec, root_seed, spec.authors)
+            .next()
+            .unwrap_or_default(),
     }
 }
 
-/// Streams the same corpus [`generate_year`] builds, yielding authors
-/// in chunks of `chunk_authors` so a 20 000-author year never has to
-/// be resident at once.
+/// Streams the corpus in chunks of `chunk_authors` authors, so a
+/// 20 000-author year never has to be resident at once.
 ///
-/// Every sample is generated from the same per-`(year, author,
-/// challenge)` seed derivation as `generate_year`, so concatenating
-/// the chunks reproduces `generate_year(spec, root_seed).samples`
-/// exactly — the equivalence test pins this. Callers featurize (or
-/// write to a [`ColumnStore`](../../synthattr_ml/colstore/index.html))
-/// each chunk and drop it before pulling the next.
+/// Each chunk is generated on the worker pool at the ambient worker
+/// count ([`pool::resolve_workers`]), one author per work item, and
+/// comes back in author-major order. Every sample derives from
+/// `(root_seed, year, author, challenge)` alone and the pool keeps
+/// input order, so neither the chunk size nor the worker count changes
+/// a sample: concatenating the chunks reproduces
+/// `generate_year(spec, root_seed).samples` exactly — the equivalence
+/// tests pin both. Callers featurize (or write to a
+/// [`ColumnStore`](../../synthattr_ml/colstore/index.html)) each chunk
+/// and drop it before pulling the next.
 pub fn stream_year(
     spec: &YearSpec,
     root_seed: u64,
     chunk_authors: usize,
 ) -> impl Iterator<Item = Vec<CodeSample>> + '_ {
     let chunk_authors = chunk_authors.max(1);
-    let n_chunks = spec.authors.div_ceil(chunk_authors);
-    (0..n_chunks).map(move |c| {
-        let lo = c * chunk_authors;
-        let hi = (lo + chunk_authors).min(spec.authors);
-        let mut samples = Vec::with_capacity((hi - lo) * spec.challenges.len());
-        for author in lo..hi {
-            let base_style = AuthorStyle::for_author(root_seed, spec.year, author);
-            for (ci, &challenge) in spec.challenges.iter().enumerate() {
-                samples.push(one_sample(
-                    spec,
-                    root_seed,
-                    &base_style,
-                    author,
-                    ci,
-                    challenge,
-                ));
-            }
-        }
-        samples
+    (0..spec.authors).step_by(chunk_authors).map(move |lo| {
+        let authors = lo..(lo + chunk_authors).min(spec.authors);
+        authors_chunk(spec, root_seed, authors, pool::resolve_workers(None))
     })
 }
 
-/// Generates the `(author, challenge)` sample — the shared inner step
-/// of [`generate_year`] and [`stream_year`].
+/// The samples of `authors`, author-major, generated on `workers`
+/// threads: one [`AuthorStyle::for_author`] per author, then that
+/// author's [`one_sample`] calls.
+pub(crate) fn authors_chunk(
+    spec: &YearSpec,
+    root_seed: u64,
+    authors: Range<usize>,
+    workers: usize,
+) -> Vec<CodeSample> {
+    pool::parallel_map_workers(workers, authors.collect(), |author| {
+        let base_style = AuthorStyle::for_author(root_seed, spec.year, author);
+        spec.challenges
+            .iter()
+            .enumerate()
+            .map(|(ci, &challenge)| one_sample(spec, root_seed, &base_style, author, ci, challenge))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Generates the `(author, challenge)` sample — the inner step of
+/// [`authors_chunk`].
 fn one_sample(
     spec: &YearSpec,
     root_seed: u64,
@@ -304,6 +305,30 @@ mod tests {
                 streamed, batch.samples,
                 "chunk size {chunk_authors} diverged from generate_year"
             );
+        }
+    }
+
+    #[test]
+    fn chunks_match_a_serial_loop_at_any_worker_count() {
+        let spec = YearSpec::tiny(2019, 7, 3);
+        for chunk_authors in [1usize, 3, spec.authors] {
+            for lo in (0..spec.authors).step_by(chunk_authors) {
+                let authors = lo..(lo + chunk_authors).min(spec.authors);
+                let mut serial = Vec::new();
+                for author in authors.clone() {
+                    let style = AuthorStyle::for_author(13, spec.year, author);
+                    for (ci, &challenge) in spec.challenges.iter().enumerate() {
+                        serial.push(one_sample(&spec, 13, &style, author, ci, challenge));
+                    }
+                }
+                for workers in [1usize, 2, 8] {
+                    assert_eq!(
+                        authors_chunk(&spec, 13, authors.clone(), workers),
+                        serial,
+                        "authors {authors:?} on {workers} workers"
+                    );
+                }
+            }
         }
     }
 

@@ -42,10 +42,22 @@
 //! read is bounded by the file size. Values are validated on *read*
 //! (finite features, in-range labels), so a corrupt body surfaces as
 //! a typed error instead of a downstream assertion panic.
+//!
+//! # Replacing a store
+//!
+//! [`ColumnStoreWriter::create`] never truncates or renames over an
+//! existing file: it removes the path, then creates a fresh file that
+//! must not exist. On ext4 (`auto_da_alloc`), truncating a file that
+//! was itself truncated and rewritten, or renaming a new file over it,
+//! waits for the kernel to write the old contents to disk, on every
+//! rebuild at the same path: for a 20 MB store, 8–21 ms on one 2-vCPU
+//! ext4 VM and 200–280 ms on another. A removed inode that nobody
+//! holds open is simply freed, and a new inode removed soon after is
+//! never written out at all.
 
 use crate::dataset::Dataset;
 use std::fmt;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use synthattr_util::hash::fnv1a;
@@ -150,8 +162,22 @@ pub struct ColumnStoreWriter {
 }
 
 impl ColumnStoreWriter {
-    /// Creates (truncating) `path` for a store of `dim`-wide rows with
-    /// labels in `[0, n_classes)`, `chunk_rows` rows per chunk.
+    /// Creates `path` for a store of `dim`-wide rows with labels in
+    /// `[0, n_classes)`, `chunk_rows` rows per chunk.
+    ///
+    /// A file already at `path` is replaced, never truncated: the path
+    /// is removed (a missing file is fine), then a new file is created
+    /// there, failing if one appeared in between (see the module docs
+    /// for why). So a symlink at `path` is replaced, not followed; a
+    /// hard link elsewhere keeps the old contents; and a read-only
+    /// file is replaced whenever its directory is writable.
+    ///
+    /// # Errors
+    ///
+    /// [`ColStoreError::BadHeader`] for a zero or oversized shape, and
+    /// [`ColStoreError::Io`] if the old file cannot be removed (for
+    /// example, `path` is a directory) or the new one cannot be
+    /// created or written.
     pub fn create(
         path: impl AsRef<Path>,
         dim: usize,
@@ -172,7 +198,15 @@ impl ColumnStoreWriter {
             ));
         }
         let path = path.as_ref().to_path_buf();
-        let mut file = BufWriter::new(File::create(&path)?);
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
+        let file = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)?;
+        let mut file = BufWriter::new(file);
         // Placeholder header; finish() rewrites it with the real row
         // count and checksum. An unfinished file fails open() on the
         // zero checksum, which is the behavior we want for a crashed
@@ -730,6 +764,55 @@ mod tests {
             Err(ColStoreError::BadHeader(_))
         ));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Feature bits and labels of every row of `store`.
+    fn contents(store: &ColumnStore) -> (Vec<Vec<u64>>, Vec<usize>) {
+        let ds = store.read_rows(0, store.len()).unwrap();
+        let rows = (0..ds.len())
+            .map(|i| ds.row(i).iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (rows, ds.labels().to_vec())
+    }
+
+    #[test]
+    fn rewriting_a_path_replaces_the_old_store() {
+        for (name, new_rows) in [("fewer", 9usize), ("more", 61)] {
+            let path = tmp_path(&format!("rewrite_{name}"));
+            let link = tmp_path(&format!("rewrite_{name}_link"));
+            let (rows, labels) = seeded_rows(17, 30, 3, 5);
+            let old = write_store(&path, &rows, &labels, 5, 8);
+            let old_contents = contents(&old);
+            let _ = std::fs::remove_file(&link);
+            std::fs::hard_link(&path, &link).unwrap();
+
+            let (rows, labels) = seeded_rows(18, new_rows, 3, 5);
+            write_store(&path, &rows, &labels, 5, 8);
+            let reopened = ColumnStore::open(&path).unwrap();
+            assert_eq!(reopened.len(), new_rows, "{name}");
+            let want: Vec<Vec<u64>> = rows
+                .iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            assert_eq!(contents(&reopened), (want, labels), "{name}");
+            // The old file was replaced, not truncated: a second name
+            // for it still opens the old store.
+            let linked = ColumnStore::open(&link).unwrap();
+            assert_eq!(contents(&linked), old_contents, "{name}");
+            std::fs::remove_file(&path).unwrap();
+            std::fs::remove_file(&link).unwrap();
+        }
+    }
+
+    #[test]
+    fn create_on_a_directory_is_an_error() {
+        let dir = tmp_path("a_directory");
+        std::fs::create_dir_all(&dir).unwrap();
+        let created = ColumnStoreWriter::create(&dir, 2, 3, 8);
+        let still_a_dir = dir.is_dir();
+        std::fs::remove_dir(&dir).unwrap();
+        assert!(matches!(created, Err(ColStoreError::Io(_))));
+        assert!(still_a_dir);
     }
 
     #[test]

@@ -59,20 +59,41 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Trains a forest.
-    ///
-    /// Encodes `data` once (a crate-private rank encoding); every tree reads that
-    /// encoding. Each tree gets an independent RNG stream forked from
-    /// `rng`, so results are identical whether training runs parallel
-    /// or serial.
+    /// Trains a forest on every row of `data`: [`Self::fit_rows`] over
+    /// `0..data.len()`.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or `config.n_trees == 0`.
     pub fn fit(data: &Dataset, config: &ForestConfig, rng: &mut Pcg64) -> Self {
-        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
+        let all: Vec<usize> = (0..data.len()).collect();
+        Self::fit_rows(data, &all, config, rng)
+    }
+
+    /// Trains a forest on rows `rows` of `data` (in that order,
+    /// repeats allowed): the forest [`Self::fit`] trains on
+    /// `data.subset(rows)`, bit for bit, without copying the rows.
+    ///
+    /// Encodes the rows once (a crate-private rank encoding, its
+    /// column blocks spread over the worker pool); every tree reads
+    /// that encoding. Each tree gets an independent RNG stream forked
+    /// from `rng`, so results are identical whether training runs
+    /// parallel or serial.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty, an index in it is out of range, or
+    /// `config.n_trees == 0`.
+    pub fn fit_rows(
+        data: &Dataset,
+        rows: &[usize],
+        config: &ForestConfig,
+        rng: &mut Pcg64,
+    ) -> Self {
+        assert!(!rows.is_empty(), "cannot fit a forest on an empty dataset");
+        let workers = pool::resolve_workers(config.workers);
         Self::fit_encoded(
-            &RankEncoding::new(data),
+            &RankEncoding::of_rows(data, rows, workers),
             config,
             rng,
             DecisionTree::fit_encoded,
@@ -409,6 +430,27 @@ mod tests {
         let f2 = RandomForest::fit(&train, &ForestConfig::fast(), &mut Pcg64::new(42));
         let test = blobs(5, 11);
         assert_eq!(f1.predict_all(&test), f2.predict_all(&test));
+    }
+
+    #[test]
+    fn fitting_a_row_list_equals_fitting_its_subset() {
+        let train = blobs(20, 32);
+        let rows: Vec<usize> = (0..train.len()).rev().step_by(3).chain([4, 4, 9]).collect();
+        let subset = train.subset(&rows);
+        for workers in [1usize, 2] {
+            let cfg = ForestConfig {
+                n_trees: 12,
+                workers: Some(workers),
+                ..ForestConfig::default()
+            };
+            let listed = RandomForest::fit_rows(&train, &rows, &cfg, &mut Pcg64::new(5));
+            let copied = RandomForest::fit(&subset, &cfg, &mut Pcg64::new(5));
+            assert_eq!(listed.n_classes(), copied.n_classes());
+            assert_eq!(listed.n_trees(), copied.n_trees());
+            for (t, (a, b)) in listed.trees.iter().zip(&copied.trees).enumerate() {
+                assert_eq!(a.node_bits(), b.node_bits(), "workers {workers} tree {t}");
+            }
+        }
     }
 
     #[test]

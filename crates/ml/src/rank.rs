@@ -17,6 +17,7 @@
 //! and `+0.0` merged.
 
 use crate::dataset::Dataset;
+use synthattr_util::pool;
 
 /// A training set, encoded column by column as value ranks.
 ///
@@ -39,18 +40,43 @@ struct Column {
     values: Box<[f64]>,
 }
 
-/// While [`RankEncoding::from_rows`] encodes, the rows give back the
-/// memory of the columns already encoded after every this many.
+/// Columns per block: [`RankEncoding::of_rows`] encodes each block as
+/// one pool item, and while [`RankEncoding::from_rows`] encodes, the
+/// rows give back the memory of the columns already encoded after
+/// every block.
 const RELEASE_COLUMNS: usize = 16;
 
 impl RankEncoding {
-    /// Encodes every row and label of `data`.
+    /// Encodes every row and label of `data` on the calling thread.
     pub(crate) fn new(data: &Dataset) -> Self {
-        let mut encoder = ColumnEncoder::new(data.len());
-        let columns = (0..data.dim())
-            .map(|f| encoder.encode(|i| data.row(i)[f]))
-            .collect();
-        Self::assemble(data.len(), columns, data.labels(), data.n_classes())
+        let all: Vec<usize> = (0..data.len()).collect();
+        Self::of_rows(data, &all, 1)
+    }
+
+    /// Encodes rows `rows` of `data`, in that order and repeats
+    /// included, as if they were the rows of `data.subset(rows)`, with
+    /// no copy of the rows. Blocks of [`RELEASE_COLUMNS`] columns are
+    /// encoded on `workers` threads, each with its own scratch. A
+    /// column's encoding depends only on its own values, so the worker
+    /// count never changes the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index in `rows` is out of range.
+    pub(crate) fn of_rows(data: &Dataset, rows: &[usize], workers: usize) -> Self {
+        let dim = data.dim();
+        let blocks: Vec<usize> = (0..dim).step_by(RELEASE_COLUMNS).collect();
+        let columns = pool::parallel_map_workers(workers, blocks, |lo| {
+            let mut encoder = ColumnEncoder::new(rows.len());
+            (lo..(lo + RELEASE_COLUMNS).min(dim))
+                .map(|f| encoder.encode(|i| data.row(rows[i])[f]))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        let labels = rows.iter().map(|&i| data.label(i));
+        Self::assemble(rows.len(), columns, labels, data.n_classes())
     }
 
     /// Encodes `data` like [`Self::new`] but consumes it, encoding the
@@ -73,7 +99,7 @@ impl RankEncoding {
         }
         drop(rows);
         columns.reverse();
-        Self::assemble(n, columns, &labels, n_classes)
+        Self::assemble(n, columns, labels.into_iter(), n_classes)
     }
 
     /// Joins the encoded columns with the labels.
@@ -81,7 +107,12 @@ impl RankEncoding {
     /// # Panics
     ///
     /// Panics if there are more classes than a `u32` counts.
-    fn assemble(rows: usize, columns: Vec<Column>, labels: &[usize], n_classes: usize) -> Self {
+    fn assemble(
+        rows: usize,
+        columns: Vec<Column>,
+        labels: impl Iterator<Item = usize>,
+        n_classes: usize,
+    ) -> Self {
         assert!(
             u32::try_from(n_classes).is_ok(),
             "rank encoding holds labels as u32"
@@ -89,7 +120,7 @@ impl RankEncoding {
         RankEncoding {
             rows,
             columns,
-            labels: labels.iter().map(|&l| l as u32).collect(),
+            labels: labels.map(|l| l as u32).collect(),
             n_classes,
         }
     }
@@ -263,24 +294,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn consuming_the_rows_encodes_the_same_columns() {
-        // Wider than one release block, so rows are truncated mid-way.
-        let dim = 2 * RELEASE_COLUMNS + 3;
+    /// Tie-heavy rows wider than two blocks plus a ragged third, so
+    /// both the row release and the block split fall mid-way.
+    const WIDE: usize = 2 * RELEASE_COLUMNS + 3;
+
+    fn wide_rows() -> Dataset {
         let mut ds = Dataset::new(4);
         for i in 0..40usize {
-            let row = (0..dim)
+            let row = (0..WIDE)
                 .map(|f| ((i * 7 + f * 3) % 11) as f64 - 5.0)
                 .collect();
             ds.push(row, i % 4);
         }
+        ds
+    }
+
+    /// Every column's ranks, and its values compared by bits.
+    fn assert_same_encoding(got: &RankEncoding, want: &RankEncoding, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        assert_eq!(got.dim(), want.dim(), "{what}");
+        assert_eq!(got.n_classes(), want.n_classes(), "{what}");
+        assert_eq!(got.labels, want.labels, "{what}");
+        let bits = |enc: &RankEncoding, f| enc.values(f).iter().map(|v| v.to_bits()).collect();
+        for f in 0..want.dim() {
+            assert_eq!(got.ranks(f), want.ranks(f), "{what}: column {f}");
+            let (a, b): (Vec<u64>, Vec<u64>) = (bits(got, f), bits(want, f));
+            assert_eq!(a, b, "{what}: column {f}");
+        }
+    }
+
+    #[test]
+    fn consuming_the_rows_encodes_the_same_columns() {
+        let ds = wide_rows();
         let borrowed = RankEncoding::new(&ds);
         let consumed = RankEncoding::from_rows(ds);
-        assert_eq!(consumed.dim(), dim);
-        assert_eq!(consumed.labels, borrowed.labels);
-        for f in 0..dim {
-            assert_eq!(consumed.ranks(f), borrowed.ranks(f), "column {f}");
-            assert_eq!(consumed.values(f), borrowed.values(f), "column {f}");
+        assert_eq!(consumed.dim(), WIDE);
+        assert_same_encoding(&consumed, &borrowed, "consumed rows");
+    }
+
+    #[test]
+    fn a_row_list_encodes_like_its_subset_at_any_worker_count() {
+        let ds = wide_rows();
+        let rows = [5usize, 0, 5, 39, 12, 12, 7, 0, 21, 38];
+        let subset = RankEncoding::new(&ds.subset(&rows));
+        assert_eq!(subset.dim(), WIDE);
+        for workers in [1usize, 2, 8] {
+            let listed = RankEncoding::of_rows(&ds, &rows, workers);
+            assert_same_encoding(&listed, &subset, &format!("{workers} workers"));
         }
     }
 

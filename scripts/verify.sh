@@ -20,7 +20,10 @@
 #                                     #   reference at 204 authors;
 #                                     #   multi-shard worker
 #                                     #   invariance), the 2000-author
-#                                     #   out-of-core smoke, and the
+#                                     #   out-of-core smoke, the
+#                                     #   column store's unit tests,
+#                                     #   pooled chunk generation's
+#                                     #   worker invariance, and the
 #                                     #   20k profile-collision audit
 #   scripts/verify.sh --strict        # tier-1 + clippy with
 #                                     #   -D warnings across all
@@ -63,9 +66,13 @@
 # worker-invariant and rerun-deterministic — plus the 2000-author
 # out-of-core smoke (ignored under plain tier-1: streamed generation →
 # columnar stores → sharded training → reservoir hold-out accuracy far
-# above chance), the ml sharded-trainer unit invariants, and the
-# seeded 20 000-profile collision audit in synthattr-gen. The
-# non-ignored suites also run under plain tier-1.
+# above chance), the ml sharded-trainer unit invariants, the column
+# store's unit tests (round trips, corruption errors, and a rewrite at
+# the same path replacing the old store instead of truncating it), the
+# gen test that pooled chunk generation at 1, 2 and 8 workers equals a
+# serial loop over the same samples, and the seeded 20 000-profile
+# collision audit in synthattr-gen. The non-ignored suites also run
+# under plain tier-1.
 #
 # --strict is the workshop hygiene gate: clippy over every workspace
 # target with warnings denied, rustfmt in check mode, then rustdoc
@@ -156,6 +163,10 @@ if [[ "$SCALE" == "1" ]]; then
   echo "== scale: sharded-trainer + reservoir unit invariants (ml) ==" >&2
   cargo test --offline -p synthattr-ml --lib forest
   cargo test --offline -p synthattr-ml --lib cv
+  echo "== scale: column store unit tests (ml) ==" >&2
+  cargo test --offline -p synthattr-ml --lib colstore
+  echo "== scale: pooled chunk generation is worker-invariant (gen) ==" >&2
+  cargo test --offline -p synthattr-gen --lib chunks_match_a_serial_loop_at_any_worker_count
   echo "== scale: 20k profile-collision audit (gen) ==" >&2
   cargo test --offline -p synthattr-gen --lib twenty_thousand_profiles_rarely_collide
 fi
